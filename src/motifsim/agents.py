@@ -112,8 +112,7 @@ def perceive(truth, ego, spec, step=0, rng=None):
     if spec.radius == "inf":
         visible_nodes = set(m.map.nodes)
     else:
-        visible_nodes = {n for n in m.map.nodes
-                         if m.map.hop_distance(here, n) <= spec.radius}
+        visible_nodes = set(m.map.hops_from(here, spec.radius))
 
     detections = []
     for cid in sorted(m.members):
@@ -537,7 +536,7 @@ def merge_configs(a, b):
     cfg.addresses = {**a.addresses, **b.addresses}
     cfg.types = {**a.types, **b.types}
     cfg.counters = {**a.counters, **b.counters}
-    cfg._key = cfg._hash = None
+    cfg._hash = None
     cfg.check()
     return cfg
 

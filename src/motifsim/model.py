@@ -5,6 +5,18 @@ motifs and configurations.  Everything here has value semantics: the
 public operations return fresh configurations and never mutate their
 argument.  Mutating helpers (prefixed ``_``) are reserved for the rule
 engine, which works on private clones.
+
+Clones share their unchanged components, motifs and maps.  Copy before
+mutate: code that changes a component's state, a motif's members or a
+motif's map first takes a private copy through
+`Configuration._touch_component` or `Configuration._touch_motif`
+(``copy_map=True`` / ``copy_members=True``), and changes only that copy,
+before any hash of its configuration is taken.  Each `Map`,
+`ComponentInstance` and `Motif` caches its canonical tuple and that
+tuple's ``repr`` on first use; ``copy()`` and the `Map` mutators reset
+the cache, and the rule is what keeps every other cache valid.
+`Configuration.state_hash` joins the cached fragments, so a change made
+in place on a shared object would leave the hash stale.
 """
 
 import heapq
@@ -35,12 +47,13 @@ def node_sort_key(n):
 class Map:
     """A directed graph of abstract coordinates with integer edge weights."""
 
-    __slots__ = ("nodes", "out", "_dist")
+    __slots__ = ("nodes", "out", "_dist", "_canon", "_text")
 
     def __init__(self, nodes=(), edges=()):
         self.nodes = set(nodes)
         self.out = {n: {} for n in self.nodes}
         self._dist = {}
+        self._canon = self._text = None
         for e in edges:
             if len(e) == 2:
                 a, b = e
@@ -54,7 +67,12 @@ class Map:
         m.nodes = set(self.nodes)
         m.out = {n: dict(d) for n, d in self.out.items()}
         m._dist = {}
+        m._canon = m._text = None
         return m
+
+    def _changed(self):
+        self._dist.clear()
+        self._canon = self._text = None
 
     def edge_list(self):
         return sorted(
@@ -71,7 +89,7 @@ class Map:
     def add_node(self, n):
         self.nodes.add(n)
         self.out.setdefault(n, {})
-        self._dist.clear()
+        self._changed()
 
     def remove_node(self, n):
         if n not in self.nodes:
@@ -80,7 +98,7 @@ class Map:
         self.out.pop(n, None)
         for d in self.out.values():
             d.pop(n, None)
-        self._dist.clear()
+        self._changed()
 
     def add_edge(self, a, b, w=1):
         if a not in self.nodes or b not in self.nodes:
@@ -88,13 +106,13 @@ class Map:
         if w < 0:
             raise ValueError("edge weight must be nonnegative")
         self.out[a][b] = int(w)
-        self._dist.clear()
+        self._changed()
 
     def remove_edge(self, a, b):
         if not self.has_edge(a, b):
             raise UnknownEdge(f"no edge {a!r} -> {b!r}")
         del self.out[a][b]
-        self._dist.clear()
+        self._changed()
 
     def succ(self, n):
         """The unique out-neighbor of `n`, or None if out-degree != 1."""
@@ -133,38 +151,48 @@ class Map:
                     heapq.heappush(heap, (nd, tick, m))
         return dist
 
-    def hop_distance(self, a, b):
-        """Undirected unit-weight distance (used for sensing radii)."""
-        if a not in self.nodes or b not in self.nodes:
-            raise UnknownNode(f"no node {a!r} or {b!r}")
-        if a == b:
-            return 0
+    def hops_from(self, src, radius=UNREACHABLE):
+        """Undirected unit-weight hop counts from `src` to every node at
+        most `radius` hops away (used for sensing radii)."""
+        if src not in self.nodes:
+            raise UnknownNode(f"no node {src!r}")
         adj = {n: set() for n in self.nodes}
         for x, d in self.out.items():
             for y in d:
                 adj[x].add(y)
                 adj[y].add(x)
-        seen = {a}
-        frontier = [a]
-        hops = 0
-        while frontier:
-            hops += 1
+        hops = {src: 0}
+        frontier = [src]
+        k = 0
+        while frontier and k < radius:
+            k += 1
             nxt = []
             for n in frontier:
                 for m in adj[n]:
-                    if m == b:
-                        return hops
-                    if m not in seen:
-                        seen.add(m)
+                    if m not in hops:
+                        hops[m] = k
                         nxt.append(m)
             frontier = nxt
-        return UNREACHABLE
+        return hops
+
+    def hop_distance(self, a, b):
+        """Undirected unit-weight distance (used for sensing radii)."""
+        if b not in self.nodes:
+            raise UnknownNode(f"no node {b!r}")
+        return self.hops_from(a).get(b, UNREACHABLE)
 
     def canonical(self):
-        return (
-            tuple(sorted(self.nodes, key=node_sort_key)),
-            tuple(self.edge_list()),
-        )
+        if self._canon is None:
+            self._canon = (
+                tuple(sorted(self.nodes, key=node_sort_key)),
+                tuple(self.edge_list()),
+            )
+        return self._canon
+
+    def canonical_repr(self):
+        if self._text is None:
+            self._text = repr(self.canonical())
+        return self._text
 
 
 def line_map(k):
@@ -391,7 +419,7 @@ class ComponentType:
 
 
 class ComponentInstance:
-    __slots__ = ("id", "type", "state")
+    __slots__ = ("id", "type", "state", "_canon", "_text")
 
     def __init__(self, cid, ctype, state=None):
         self.id = cid
@@ -403,22 +431,32 @@ class ComponentInstance:
                     raise DomainError(f"type {ctype.name!r} has no var {k!r}")
                 full[k] = ctype.vars[k].domain.canon(v)
         self.state = full
+        self._canon = self._text = None
 
     def copy(self):
         c = ComponentInstance.__new__(ComponentInstance)
         c.id = self.id
         c.type = self.type
         c.state = dict(self.state)
+        c._canon = c._text = None
         return c
 
     def canonical(self):
-        return (self.id, self.type.name, tuple(sorted(self.state.items())))
+        if self._canon is None:
+            self._canon = (self.id, self.type.name, tuple(sorted(self.state.items())))
+        return self._canon
+
+    def canonical_repr(self):
+        if self._text is None:
+            self._text = repr(self.canonical())
+        return self._text
 
 
 class Motif:
     """A world bundling a map, member components and coordination rules."""
 
-    __slots__ = ("id", "map", "members", "interaction_rules", "configuration_rules")
+    __slots__ = ("id", "map", "members", "interaction_rules", "configuration_rules",
+                 "_canon", "_text")
 
     def __init__(self, mid, map, members=(), interaction_rules=(), configuration_rules=()):
         self.id = mid
@@ -426,6 +464,7 @@ class Motif:
         self.members = set(members)
         self.interaction_rules = list(interaction_rules)
         self.configuration_rules = list(configuration_rules)
+        self._canon = self._text = None
 
     def copy(self, copy_map=False, copy_members=False):
         m = Motif.__new__(Motif)
@@ -434,14 +473,26 @@ class Motif:
         m.members = set(self.members) if copy_members else self.members
         m.interaction_rules = self.interaction_rules
         m.configuration_rules = self.configuration_rules
+        m._canon = m._text = None
         return m
+
+    def canonical(self):
+        if self._canon is None:
+            self._canon = (self.id, self.map.canonical(), tuple(sorted(self.members)))
+        return self._canon
+
+    def canonical_repr(self):
+        if self._text is None:
+            self._text = "(%r, %s, %r)" % (
+                self.id, self.map.canonical_repr(), tuple(sorted(self.members)))
+        return self._text
 
 
 class Configuration:
     """Global system state: components, motifs, and the partial address
     function mapping (component id, motif id) to a map node."""
 
-    __slots__ = ("components", "motifs", "addresses", "types", "counters", "_key", "_hash")
+    __slots__ = ("components", "motifs", "addresses", "types", "counters", "_hash")
 
     def __init__(self, components=(), motifs=(), types=None):
         self.components = {}
@@ -457,7 +508,6 @@ class Configuration:
         self.addresses = {}
         self.types = dict(types or {})
         self.counters = {}
-        self._key = None
         self._hash = None
         self.check()
 
@@ -488,7 +538,6 @@ class Configuration:
         c.addresses = dict(self.addresses)
         c.types = self.types
         c.counters = dict(self.counters)
-        c._key = None
         c._hash = None
         return c
 
@@ -530,13 +579,13 @@ class Configuration:
     def _touch_component(self, cid):
         c = self.component(cid).copy()
         self.components[cid] = c
-        self._key = self._hash = None
+        self._hash = None
         return c
 
     def _touch_motif(self, mid, copy_map=False, copy_members=False):
         m = self.motif(mid).copy(copy_map=copy_map, copy_members=copy_members)
         self.motifs[mid] = m
-        self._key = self._hash = None
+        self._hash = None
         return m
 
     def _place(self, cid, mid, n):
@@ -546,36 +595,45 @@ class Configuration:
         if n not in m.map.nodes:
             raise UnknownNode(f"no node {n!r} in motif {mid!r}")
         self.addresses[(cid, mid)] = n
-        self._key = self._hash = None
+        self._hash = None
 
     def _unplace(self, cid, mid):
         self.addresses.pop((cid, mid), None)
-        self._key = self._hash = None
+        self._hash = None
 
     def _dirty(self):
-        self._key = self._hash = None
+        self._hash = None
 
     # -- canonical form -----------------------------------------------------
 
     def canonical_key(self):
-        if self._key is None:
-            comps = tuple(
-                self.components[cid].canonical() for cid in sorted(self.components)
-            )
-            motifs = tuple(
-                (mid, self.motifs[mid].map.canonical(), tuple(sorted(self.motifs[mid].members)))
-                for mid in sorted(self.motifs)
-            )
-            addrs = tuple(sorted(self.addresses.items()))
-            counters = tuple(sorted(self.counters.items()))
-            self._key = (comps, motifs, addrs, counters)
-        return self._key
+        return (
+            tuple(self.components[cid].canonical() for cid in sorted(self.components)),
+            tuple(self.motifs[mid].canonical() for mid in sorted(self.motifs)),
+            tuple(sorted(self.addresses.items())),
+            tuple(sorted(self.counters.items())),
+        )
 
     def state_hash(self):
+        """blake2b-64 of ``repr(self.canonical_key())``, joined from the
+        fragments each component and motif caches."""
         if self._hash is None:
-            h = blake2b(repr(self.canonical_key()).encode(), digest_size=8)
-            self._hash = h.hexdigest()
+            comps, motifs = self.components, self.motifs
+            text = "(%s, %s, %r, %r)" % (
+                _tuple_repr([comps[cid].canonical_repr() for cid in sorted(comps)]),
+                _tuple_repr([motifs[mid].canonical_repr() for mid in sorted(motifs)]),
+                tuple(sorted(self.addresses.items())),
+                tuple(sorted(self.counters.items())),
+            )
+            self._hash = blake2b(text.encode(), digest_size=8).hexdigest()
         return self._hash
+
+
+def _tuple_repr(items):
+    """``repr`` of a tuple whose items have the reprs `items`."""
+    if len(items) == 1:
+        return "(%s,)" % items[0]
+    return "(%s)" % ", ".join(items)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ import json
 import random
 
 from .agents import AgentRuntime, SensorSpec
-from .errors import EffectError, ReplayDivergence
-from .expr import Ctx
+from .errors import EffectError, EngineError, ReplayDivergence
+from .expr import Ctx, UnboundParam
 from .rules import CONTROLLER, step_candidates
 
 
@@ -241,7 +241,7 @@ def _eval_always(checks, cfg, step):
             continue
         try:
             ok = bool(fn(Ctx(cfg)))
-        except Exception:
+        except (EngineError, UnboundParam):
             ok = False
         if not ok:
             res.fail(step)
@@ -272,7 +272,7 @@ def run(system, steps=None, seed=None, policy=None, controllers=None):
         if cd.when == "finally":
             try:
                 ok = bool(fn(Ctx(world.cfg)))
-            except Exception:
+            except (EngineError, UnboundParam):
                 ok = False
             if not ok:
                 res.fail(world.step_no)

@@ -13,6 +13,10 @@ from motifsim.errors import EgoUnplaced
 from motifsim.games import Controller
 from motifsim.goals import Goal
 from motifsim.lang import parse
+from motifsim.model import (
+    AGENT, ComponentInstance, ComponentType, Configuration, Map, Motif,
+    grid_map, line_map, ring_map,
+)
 from motifsim.rules import delete_component, step_candidates
 from motifsim.scenarios import PLATOON, THERMOSTAT, THERMOSTAT_DELIBERATIVE
 
@@ -65,6 +69,29 @@ def test_unplaced_ego_raises():
     cfg2._unplace("v1", "road")
     with pytest.raises(EgoUnplaced):
         perceive(cfg2, "v1", _road_spec())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: line_map(7), lambda: ring_map(6), lambda: grid_map(4, 3),
+    # one-way edges, a weighted edge and an isolated node
+    lambda: Map(range(7), [(0, 1), (1, 2), (3, 2), (4, 3, 5), (5, 0)]),
+], ids=["line", "ring", "grid", "one_way"])
+def test_visible_nodes_match_per_node_hop_distance(make):
+    m = make()
+    # unit-weight, both directions: an independent reference via Dijkstra
+    undirected = Map(m.nodes, [e for a, d in m.out.items() for b in d
+                               for e in ((a, b), (b, a))])
+    t = ComponentType("probe", AGENT)
+    for here in sorted(m.nodes):
+        cfg = Configuration([ComponentInstance("p", t)],
+                            [Motif("area", m, members={"p"})], {"probe": t})
+        cfg._place("p", "area", here)
+        for radius in range(5):
+            got = perceive(cfg, "p", SensorSpec("area", radius=radius)).visible_nodes
+            assert got == {n for n in m.nodes
+                           if m.hop_distance(here, n) <= radius}
+            assert got == {n for n in m.nodes
+                           if undirected.distance(here, n) <= radius}
 
 
 def test_noise_is_seeded_and_snapped():

@@ -1,17 +1,22 @@
 import math
 from fractions import Fraction
+from hashlib import blake2b
 
 import pytest
 
+from motifsim import sim
 from motifsim.errors import (
     DomainError, NodeOccupied, NotAMember, UnknownEdge, UnknownNode,
 )
+from motifsim.games import ground
+from motifsim.lang import parse
 from motifsim.model import (
     AGENT, OBJECT, BoolDomain, ComponentInstance, ComponentType,
     Configuration, ControllerSpec, EnumDomain, IntRange, Map, Motif,
     RealRange, UNREACHABLE, VarDecl, add_edge, add_node, grid_map, line_map,
-    place, remove_edge, remove_node, ring_map,
+    node_sort_key, place, remove_edge, remove_node, ring_map,
 )
+from motifsim.scenarios import PLATOON, THERMOSTAT_DELIBERATIVE, bundled
 
 
 def test_line_map_distances():
@@ -182,3 +187,170 @@ def test_unreachable_comparisons():
     assert not (UNREACHABLE < 5)
     assert UNREACHABLE > 10**9
     assert math.isinf(UNREACHABLE)
+
+
+# -- state hash against a cache-free reference -------------------------------
+#
+# Components, motifs and maps cache their canonical fragments, and
+# `ground`'s collision check compares keys built from the same caches, so
+# a fragment left stale by an in-place mutation shows only here.
+
+
+def _ref_map(m):
+    nodes = tuple(sorted(m.nodes, key=node_sort_key))
+    edges = tuple(sorted(
+        ((a, b, w) for a, d in m.out.items() for b, w in d.items()),
+        key=lambda e: (node_sort_key(e[0]), node_sort_key(e[1]))))
+    return (nodes, edges)
+
+
+def _ref_key(cfg):
+    """The canonical key rebuilt from raw fields, without any cache."""
+    comps = tuple(
+        (c.id, c.type.name, tuple(sorted(c.state.items())))
+        for c in (cfg.components[cid] for cid in sorted(cfg.components)))
+    motifs = tuple(
+        (mid, _ref_map(m.map), tuple(sorted(m.members)))
+        for mid, m in sorted(cfg.motifs.items()))
+    return (comps, motifs, tuple(sorted(cfg.addresses.items())),
+            tuple(sorted(cfg.counters.items())))
+
+
+def _ref_hash(cfg):
+    return blake2b(repr(_ref_key(cfg)).encode(), digest_size=8).hexdigest()
+
+
+@pytest.fixture
+def hashed(monkeypatch):
+    """Checks every `state_hash` taken, and the canonical key beside it,
+    against the reference; collects the hashes."""
+    original = Configuration.state_hash
+    seen = []
+
+    def state_hash(self):
+        h = original(self)
+        assert h == _ref_hash(self)
+        assert self.canonical_key() == _ref_key(self)
+        seen.append(h)
+        return h
+
+    monkeypatch.setattr(Configuration, "state_hash", state_hash)
+    return seen
+
+
+def _build(text):
+    model, diags = parse(text)
+    assert model is not None, diags
+    return model.build()
+
+
+# v1 deliberates on a believed model from a finite, lossy sensor, so its
+# beliefs gain and drop components and the platoon_chain pattern rebuilds
+# believed motifs
+PLATOON_DELIBERATIVE = PLATOON.replace("scenario {", """\
+goal ahead best_effort utility (@(v1, road)) priority 0;
+
+agent v1 {
+  sensor {
+    motif road;
+    radius 4;
+    see vehicle;
+    identity on;
+    detect 0.8;
+  }
+  goals ahead;
+  horizon 2;
+  pattern platoon_chain;
+}
+
+scenario {""")
+
+DYNAMIC = """\
+type bot object {
+  var x: int[0, 3];
+  var y: int[0, 3];
+}
+
+motif yard {
+  map line(4);
+  interaction rule swap for a: bot, b: bot if a.x != b.y then { exchange(a.x, b.y); }
+  config rule bump for a: bot if a.x < 3 then { a.x := a.x + 1; }
+  config rule spawn for a: bot if a.y < 3 then { a.y := a.y + 1; create n: bot in yard at 0 with { x = 0; }; }
+  config rule cull for a: bot, b: bot if a.x = 3 then { a.x := 0; delete(b); }
+  config rule grow for a: bot then { addnode(4); addedge(3, 4); }
+  config rule shrink for a: bot then { removeedge(3, 4); removenode(4); }
+  config rule link for a: bot then { addedge(0, 3, 2); }
+  config rule away for a: bot then { migrate(a, yard, shed, 1); }
+  config rule visit for a: bot if not member(a, shed) then { join(a, shed); }
+  config rule quit for a: bot if member(a, shed) then { leave(a, shed); }
+}
+
+motif shed {
+  map ring(3);
+  config rule back for a: bot then { migrate(a, shed, yard, 2); }
+}
+
+component b1: bot in yard at 1;
+
+component b2: bot { y = 2; } in yard at 2 in shed at 0;
+"""
+
+
+@pytest.mark.parametrize("text", [sc.text for sc in bundled()] + [
+    THERMOSTAT_DELIBERATIVE, PLATOON_DELIBERATIVE],
+    ids=[sc.name for sc in bundled()] + [
+        "thermostat_deliberative", "platoon_deliberative"])
+def test_state_hash_matches_reference_on_scenarios(hashed, text):
+    for seed in range(3):
+        system = _build(text)
+        world = sim.World(system, seed=seed)
+        for _ in range(150):
+            if world.advance() is None:
+                break
+            for rt in world.runtimes.values():
+                rt.model.digest()
+    assert hashed
+
+
+def test_state_hash_matches_reference_on_grounding(hashed):
+    system = _build(THERMOSTAT_DELIBERATIVE)
+    game = ground(system.cfg, "h1")
+    assert len(set(hashed)) == len(game.states) // 2
+
+
+def test_state_hash_matches_reference_under_dynamism(hashed):
+    fired = set()
+    for seed in range(5):
+        trace = sim.run(_build(DYNAMIC), steps=300, seed=seed)
+        fired |= {e["rule"] for e in trace.events if "error" not in e}
+        trace.final.state_hash()
+    assert fired == {"swap", "bump", "spawn", "cull", "grow", "shrink",
+                     "link", "away", "visit", "quit", "back"}
+
+
+def test_map_edits_reset_the_cached_fragment():
+    m = line_map(3)
+    edits = [lambda: m.add_node(7), lambda: m.add_edge(2, 7, 3),
+             lambda: m.remove_edge(0, 1), lambda: m.remove_node(7)]
+    for edit in edits:
+        before = m.canonical_repr()
+        edit()
+        assert m.canonical_repr() != before
+        assert m.canonical_repr() == repr(_ref_map(m))
+
+
+# recorded with the canonical-key hash that earlier traces and exported
+# controller tables carry: (initial, after 50 steps with seed 0)
+PINNED = {
+    "thermostat": ("33c797e1f5e06e0e", "04e2847d51ed8ad2"),
+    "platoon": ("a8c90c719229c304", "e87b2cc3527eee4f"),
+    "soccer": ("eae90a607018106c", "eae90a607018106c"),
+    "shuttle": ("6d6b12ee7df4a42b", "4aeddcd8adeb0bcf"),
+}
+
+
+@pytest.mark.parametrize("sc", bundled(), ids=lambda sc: sc.name)
+def test_pinned_state_hashes(sc):
+    initial, after = PINNED[sc.name]
+    assert sc.build().cfg.state_hash() == initial
+    assert sim.run(sc.build(), steps=50, seed=0).final.state_hash() == after

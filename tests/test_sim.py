@@ -200,3 +200,57 @@ def test_soccer_migrations_are_atomic_per_event():
             assert "p1" in world.cfg.motif(where).members
             assert "p2" in world.cfg.motif(where).members
         owner = now
+
+
+# -- check evaluation ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("when", ["always", "finally"])
+def test_engine_bugs_in_checks_propagate(when):
+    system = _system(SHUTTLE)
+    cd = system.scenario.checks[0]
+
+    class Broken:
+        unparse = cd.expr.unparse
+
+        def compile(self, params):
+            def run(ctx):
+                raise RuntimeError("engine bug")
+            return run
+
+    cd.expr, cd.when = Broken(), when
+    with pytest.raises(RuntimeError):
+        sim.run(system, steps=3)
+
+
+DROPPER = """\
+type rock object {
+  var n: int[0, 3];
+  dynamics {
+    rule tick if self.n < 2 then { self.n := self.n + 1; }
+  }
+}
+
+motif pile {
+  map line(3);
+  config rule drop for r: rock if r.n = 2 then { leave(r, pile); }
+}
+
+component r1: rock in pile at 0;
+
+scenario {
+  steps 10;
+  seed 0;
+  policy random;
+  check near always (@(r1, pile) + 1 > 0);
+  check ends finally (@(r1, pile) + 1 > 0);
+}
+"""
+
+
+def test_undefined_arithmetic_in_checks_fails_at_its_step():
+    trace = sim.run(_system(DROPPER))
+    assert [e["rule"] for e in trace.events] == ["tick", "tick", "drop"]
+    near, ends = trace.checks
+    assert (near.ok, near.first_fail) == (False, 2)
+    assert (ends.ok, ends.first_fail) == (False, 3)
