@@ -344,7 +344,7 @@ class KnowledgeRepository:
     Design time: the goal catalog, pattern names, library controllers
     (name -> (goal name set, Controller)), and exceptional-event rules
     (name, predicate over the believed cfg, directives to emit).  Run
-    time: provenance-stamped records and named estimates.
+    time: provenance-stamped records.
     """
 
     def __init__(self, goals=None, patterns=(), controllers=None,
@@ -354,7 +354,6 @@ class KnowledgeRepository:
         self.controllers = dict(controllers or {})
         self.exceptional = list(exceptional)
         self.records = []
-        self.estimates = {}
 
     def record(self, step, kind, detail):
         self.records.append(Record(step, kind, detail))
@@ -364,12 +363,11 @@ class KnowledgeRepository:
 
 
 class Directive:
-    __slots__ = ("kind", "arg", "extra")
+    __slots__ = ("kind", "arg")
 
-    def __init__(self, kind, arg=None, extra=None):
+    def __init__(self, kind, arg=None):
         self.kind = kind
         self.arg = arg
-        self.extra = extra
 
     def __repr__(self):
         return f"<directive {self.kind} {self.arg!r}>"
@@ -377,18 +375,6 @@ class Directive:
 
 def SetHorizon(k):
     return Directive("set_horizon", k)
-
-
-def AddGoal(goal):
-    return Directive("add_goal", goal)
-
-
-def RemoveGoal(name):
-    return Directive("remove_goal", name)
-
-
-def SetPriority(name, p):
-    return Directive("set_priority", name, p)
 
 
 def TriggerReplan():
@@ -458,15 +444,6 @@ def manage_goals(repo, model, directives, active_goals, ego, horizon,
         if d.kind == "set_horizon":
             horizon = d.arg
             replan = True
-        elif d.kind == "add_goal":
-            if all(g.name != d.arg.name for g in goals):
-                goals.append(d.arg)
-        elif d.kind == "remove_goal":
-            goals = [g for g in goals if g.name != d.arg]
-        elif d.kind == "set_priority":
-            for g in goals:
-                if g.name == d.arg:
-                    g.priority = d.extra
         elif d.kind == "trigger_replan":
             replan = True
         elif d.kind == "enter_recovery":
@@ -500,6 +477,18 @@ def manage_goals(repo, model, directives, active_goals, ego, horizon,
 # decision
 
 
+def _library_controller(repo, cfg, goals):
+    """The first library controller (by name) whose goals are among
+    `goals` and which covers the agent-turn state of `cfg`, with that
+    state's key; `(None, key)` when none does."""
+    names = {g.name for g in goals}
+    key = cfg.state_hash() + ":a"
+    for _, (gnames, ctrl) in sorted(repo.controllers.items()):
+        if gnames <= names and ctrl.covers(key):
+            return ctrl, key
+    return None, key
+
+
 def decide(model, goals, repo, ego, horizon, step=0):
     """One controllable command label, or None for idle.
 
@@ -509,13 +498,11 @@ def decide(model, goals, repo, ego, horizon, step=0):
     """
     if not goals:
         return None
-    names = {g.name for g in goals}
-    key = model.digest() + ":a"
-    for _, (gnames, ctrl) in sorted(repo.controllers.items()):
-        if gnames <= names and ctrl.covers(key):
-            for lab in ctrl.kept_actions(key):
-                return None if lab == IDLE else lab
-            return None
+    ctrl, key = _library_controller(repo, model.cfg, goals)
+    if ctrl is not None:
+        for lab in ctrl.kept_actions(key):
+            return None if lab == IDLE else lab
+        return None
     try:
         plan = plan_horizon(model.cfg, ego, goals, horizon)
     except (NoSafePlan, StateBudgetExceeded) as e:
@@ -578,21 +565,15 @@ class AgentRuntime:
         return merge_configs(self.model.cfg, self.internal)
 
     def _feasible(self, gs):
-        key = (self.planning_cfg().state_hash(), tuple(g.name for g in gs),
-               self.horizon)
+        cfg = self.planning_cfg()
+        key = (cfg.state_hash(), tuple(g.name for g in gs), self.horizon)
         hit = self._feas_cache.get(key)
         if hit is not None:
             return hit
-        names = {g.name for g in gs}
-        ok = None
-        skey = self.model.digest() + ":a"
-        for _, (gnames, ctrl) in sorted(self.repo.controllers.items()):
-            if names and gnames <= names and ctrl.covers(skey):
-                ok = True
-                break
-        if ok is None:
+        ok = _library_controller(self.repo, cfg, gs)[0] is not None
+        if not ok:
             try:
-                plan_horizon(self.planning_cfg(), self.ego, gs, self.horizon)
+                plan_horizon(cfg, self.ego, gs, self.horizon)
                 ok = True
             except (NoSafePlan, StateBudgetExceeded):
                 ok = False

@@ -17,19 +17,11 @@ class UnknownMotif(EngineError):
     pass
 
 
-class UnknownType(EngineError):
-    pass
-
-
 class UnknownComponent(EngineError):
     pass
 
 
 class NotAMember(EngineError):
-    pass
-
-
-class NodeOccupied(EngineError):
     pass
 
 

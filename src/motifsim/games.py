@@ -66,9 +66,6 @@ class GameModel:
     def add_action(self, src, label, dst, controllable):
         self.states[src].actions.append(GameAction(label, dst, controllable))
 
-    def state(self, i):
-        return self.states[i]
-
     def __len__(self):
         return len(self.states)
 

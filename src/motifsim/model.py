@@ -1,10 +1,11 @@
 """Static and dynamic structure of a system.
 
 Component types, component instances, maps, partial address functions,
-motifs and configurations.  Everything here has value semantics: the
-public operations return fresh configurations and never mutate their
-argument.  Mutating helpers (prefixed ``_``) are reserved for the rule
-engine, which works on private clones.
+motifs and configurations.  Configurations have value semantics: the only
+way to change one is a rule's effects (`rules.apply`), which run on a
+private clone and return it, leaving the argument untouched.  The
+mutating helpers (prefixed ``_``) are reserved for those effects and for
+the agents' belief revision, which likewise work on clones.
 
 Clones share their unchanged components, motifs and maps.  Copy before
 mutate: code that changes a component's state, a motif's members or a
@@ -26,7 +27,6 @@ from hashlib import blake2b
 
 from .errors import (
     DomainError,
-    NodeOccupied,
     NotAMember,
     UnknownComponent,
     UnknownEdge,
@@ -79,9 +79,6 @@ class Map:
             ((a, b, w) for a, d in self.out.items() for b, w in d.items()),
             key=lambda e: (node_sort_key(e[0]), node_sort_key(e[1])),
         )
-
-    def has_node(self, n):
-        return n in self.nodes
 
     def has_edge(self, a, b):
         return a in self.out and b in self.out[a]
@@ -566,9 +563,6 @@ class Configuration:
             raise UnknownNode(f"no node {n!r} in motif {mid!r}")
         return {cid for cid in m.members if self.addresses.get((cid, mid)) == n}
 
-    def motifs_of(self, cid):
-        return sorted(m.id for m in self.motifs.values() if cid in m.members)
-
     def fresh_id(self, type_name):
         k = self.counters.get(type_name, 0)
         self.counters[type_name] = k + 1
@@ -635,52 +629,3 @@ def _tuple_repr(items):
         return "(%s,)" % items[0]
     return "(%s)" % ", ".join(items)
 
-
-# ---------------------------------------------------------------------------
-# pure operations
-
-
-def distance(map, n1, n2):
-    """Minimum-weight directed path length, or UNREACHABLE."""
-    return map.distance(n1, n2)
-
-
-def occupied(cfg, motif_id, n):
-    return cfg.occupied(motif_id, n)
-
-
-def place(cfg, component, motif, n):
-    """A new configuration with `component` addressed at `n` in `motif`."""
-    out = cfg.clone()
-    out._place(component, motif, n)
-    return out
-
-
-def add_node(cfg, motif, n):
-    out = cfg.clone()
-    m = out._touch_motif(motif, copy_map=True)
-    m.map.add_node(n)
-    return out
-
-
-def remove_node(cfg, motif, n):
-    if cfg.occupied(motif, n):
-        raise NodeOccupied(f"node {n!r} of motif {motif!r} is occupied")
-    out = cfg.clone()
-    m = out._touch_motif(motif, copy_map=True)
-    m.map.remove_node(n)
-    return out
-
-
-def add_edge(cfg, motif, a, b, w=1):
-    out = cfg.clone()
-    m = out._touch_motif(motif, copy_map=True)
-    m.map.add_edge(a, b, w)
-    return out
-
-
-def remove_edge(cfg, motif, a, b):
-    out = cfg.clone()
-    m = out._touch_motif(motif, copy_map=True)
-    m.map.remove_edge(a, b)
-    return out

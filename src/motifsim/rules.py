@@ -1,21 +1,16 @@
 """Parametric interaction and configuration rules.
 
 The transition relation between configurations: binding enumeration,
-atomic rule application, component creation/deletion, migration, and the
-global candidate list that schedulers and the game grounder consume.
+atomic rule application, and the global candidate list that schedulers
+and the game grounder consume.  The command effects below are the only
+implementation of each configuration edit (assignment, exchange, move,
+create, delete, join, leave, migrate and map edits); `apply` runs them on
+a private clone.
 """
 
-from .errors import (
-    EffectError,
-    EngineError,
-    EvalError,
-    NotAMember,
-    UnknownMotif,
-    UnknownNode,
-    UnknownType,
-)
-from .expr import UNDEF, Ctx, compile_guard
-from .model import AGENT, ComponentInstance, Configuration
+from .errors import EffectError, EngineError
+from .expr import UNDEF, Ctx, UnboundParam, _resolve_id, compile_guard
+from .model import AGENT, ComponentInstance
 
 INTERACTION = "interaction"
 CONFIG = "config"
@@ -53,17 +48,6 @@ class Effect:
         return type(self) is type(other) and self.unparse() == other.unparse()
 
 
-def _owner_id(name, params):
-    if name in params:
-        def get(ctx):
-            cid = ctx.binding.get(name)
-            if cid is None:
-                raise EffectError(f"effect on unbound parameter {name!r}")
-            return cid
-        return get
-    return lambda ctx: name
-
-
 class Assign(Effect):
     __slots__ = ("owner", "attr", "value")
 
@@ -76,7 +60,7 @@ class Assign(Effect):
         return f"{self.owner}.{self.attr} := {self.value.unparse()}"
 
     def compile(self, params):
-        get = _owner_id(self.owner, params)
+        get = _resolve_id(self.owner, params)
         attr = self.attr
         fv = self.value.compile(params)
 
@@ -104,8 +88,8 @@ class Exchange(Effect):
         return f"exchange({self.o1}.{self.a1}, {self.o2}.{self.a2})"
 
     def compile(self, params):
-        g1 = _owner_id(self.o1, params)
-        g2 = _owner_id(self.o2, params)
+        g1 = _resolve_id(self.o1, params)
+        g2 = _resolve_id(self.o2, params)
         a1, a2 = self.a1, self.a2
 
         def run(ctx, rec):
@@ -134,7 +118,7 @@ class Move(Effect):
         return f"@({self.owner}) := {self.node.unparse()}"
 
     def compile(self, params):
-        get = _owner_id(self.owner, params)
+        get = _resolve_id(self.owner, params)
         fn = self.node.compile(params)
 
         def run(ctx, rec):
@@ -210,7 +194,7 @@ class Delete(Effect):
         return f"delete({self.owner})"
 
     def compile(self, params):
-        get = _owner_id(self.owner, params)
+        get = _resolve_id(self.owner, params)
 
         def run(ctx, rec):
             cid = get(ctx)
@@ -239,7 +223,7 @@ class Join(Effect):
         return f"join({self.owner}, {self.motif})"
 
     def compile(self, params):
-        get = _owner_id(self.owner, params)
+        get = _resolve_id(self.owner, params)
         motif = self.motif
 
         def run(ctx, rec):
@@ -263,7 +247,7 @@ class Leave(Effect):
         return f"leave({self.owner}, {self.motif})"
 
     def compile(self, params):
-        get = _owner_id(self.owner, params)
+        get = _resolve_id(self.owner, params)
         motif = self.motif
 
         def run(ctx, rec):
@@ -281,6 +265,9 @@ class Leave(Effect):
 
 
 class MigrateEffect(Effect):
+    """migrate(p, src, dst[, node]): p's state is kept, its address in
+    `src` is dropped, and its address in `dst` is set iff `node` is given."""
+
     __slots__ = ("owner", "src", "dst", "node")
 
     def __init__(self, owner, src, dst, node=None):
@@ -296,7 +283,7 @@ class MigrateEffect(Effect):
         return s + ")"
 
     def compile(self, params):
-        get = _owner_id(self.owner, params)
+        get = _resolve_id(self.owner, params)
         src, dst = self.src, self.dst
         fn = self.node.compile(params) if self.node is not None else None
 
@@ -307,7 +294,16 @@ class MigrateEffect(Effect):
                 node = fn(ctx)
                 if node is UNDEF:
                     raise EffectError("migrate to an undefined address")
-            _migrate(ctx.cfg, cid, src, dst, node)
+            cfg = ctx.cfg
+            source, _ = cfg.motif(src), cfg.motif(dst)  # both must exist
+            if cid not in source.members:
+                raise EffectError(f"{cid!r} is not a member of {src!r}")
+            if src != dst:
+                cfg._touch_motif(src, copy_members=True).members.discard(cid)
+                cfg._unplace(cid, src)
+                cfg._touch_motif(dst, copy_members=True).members.add(cid)
+            if node is not None:
+                cfg._place(cid, dst, node)
             rec.append(("migrate", cid, src, dst, node))
         return run
 
@@ -491,80 +487,10 @@ def apply(cfg, motif_id, rule, binding):
         raise
     except EngineError as exc:
         raise EffectError(str(exc)) from exc
+    except UnboundParam as exc:
+        raise EffectError(f"effect on unbound parameter {exc.args[0]!r}") from exc
     event = Event(motif_id, rule.name, dict(binding), rec, clone.state_hash())
     return clone, event
-
-
-# ---------------------------------------------------------------------------
-# component dynamism as standalone operations
-
-
-def create_component(cfg, type_name, motif_id, node=None, init=None):
-    """Create a fresh component of `type_name` in `motif_id`.
-
-    Returns `(new_configuration, new_id)`.  Without a node the component
-    is placed with an undefined address.
-    """
-    if type_name not in cfg.types:
-        raise UnknownType(f"unknown type {type_name!r}")
-    out = cfg.clone()
-    m = out.motifs.get(motif_id)
-    if m is None:
-        raise UnknownMotif(f"no motif {motif_id!r}")
-    if node is not None and node not in m.map.nodes:
-        raise UnknownNode(f"no node {node!r} in motif {motif_id!r}")
-    cid = out.fresh_id(type_name)
-    out.components[cid] = ComponentInstance(cid, cfg.types[type_name], init or {})
-    m2 = out._touch_motif(motif_id, copy_members=True)
-    m2.members.add(cid)
-    if node is not None:
-        out._place(cid, motif_id, node)
-    out._dirty()
-    return out, cid
-
-
-def delete_component(cfg, cid):
-    if cid not in cfg.components:
-        raise UnknownType(f"no component {cid!r}")
-    out = cfg.clone()
-    del out.components[cid]
-    for mid, m in list(out.motifs.items()):
-        if cid in m.members:
-            m2 = out._touch_motif(mid, copy_members=True)
-            m2.members.discard(cid)
-    for key in [k for k in out.addresses if k[0] == cid]:
-        del out.addresses[key]
-    out._dirty()
-    return out
-
-
-def _migrate(cfg, cid, from_motif, to_motif, node=None):
-    src = cfg.motifs.get(from_motif)
-    if src is None:
-        raise UnknownMotif(f"no motif {from_motif!r}")
-    dst = cfg.motifs.get(to_motif)
-    if dst is None:
-        raise UnknownMotif(f"no motif {to_motif!r}")
-    if cid not in src.members:
-        raise NotAMember(f"{cid!r} is not a member of {from_motif!r}")
-    if node is not None and node not in dst.map.nodes:
-        raise UnknownNode(f"no node {node!r} in motif {to_motif!r}")
-    if from_motif != to_motif:
-        s = cfg._touch_motif(from_motif, copy_members=True)
-        s.members.discard(cid)
-        cfg._unplace(cid, from_motif)
-        d = cfg._touch_motif(to_motif, copy_members=True)
-        d.members.add(cid)
-    if node is not None:
-        cfg._place(cid, to_motif, node)
-
-
-def migrate(cfg, cid, from_motif, to_motif, node=None):
-    """Move `cid` between motifs; state is unchanged, the source address
-    entry is dropped, and the target address is set iff `node` is given."""
-    out = cfg.clone()
-    _migrate(out, cid, from_motif, to_motif, node)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from motifsim.agents import (
     restrict,
 )
 from motifsim.errors import EgoUnplaced
+from motifsim.expr import TRUE
 from motifsim.games import Controller
 from motifsim.goals import Goal
 from motifsim.lang import parse
@@ -17,7 +18,7 @@ from motifsim.model import (
     AGENT, ComponentInstance, ComponentType, Configuration, Map, Motif,
     grid_map, line_map, ring_map,
 )
-from motifsim.rules import delete_component, step_candidates
+from motifsim.rules import CONFIG, Delete, Param, Rule, apply, step_candidates
 from motifsim.scenarios import PLATOON, THERMOSTAT, THERMOSTAT_DELIBERATIVE
 
 
@@ -140,7 +141,8 @@ def test_staleness_drops_vanished_components():
     spec = _road_spec()
     model = reflect(EnvModel.blank(cfg, "road"), perceive(cfg, "v1", spec))
     assert "v2" in model.cfg.components
-    gone = delete_component(cfg, "v2")
+    drop = Rule("drop", CONFIG, [Param("a", "vehicle")], TRUE, [Delete("a")])
+    gone, _ = apply(cfg, "road", drop, {"a": "v2"})
     k = DEFAULT_THRESHOLDS["k_stale"]
     for i in range(k):
         assert "v2" in model.cfg.components  # still believed
@@ -392,9 +394,8 @@ def test_observe_event_ewma():
     assert len(rt.window) == 2
 
 
-def test_merge_configs_disjoint_union():
-    ext = _system(THERMOSTAT).cfg
-    internal = _system("""\
+# an agent's internal model, joined to its beliefs for planning
+BATTERY = """\
 type battery object {
   var charge: int[0, 100];
 }
@@ -404,7 +405,12 @@ motif pack {
 }
 
 component b1: battery { charge = 80; } in pack at 0;
-""").cfg
+"""
+
+
+def test_merge_configs_disjoint_union():
+    ext = _system(THERMOSTAT).cfg
+    internal = _system(BATTERY).cfg
     merged = merge_configs(ext, internal)
     assert "room" in merged.components and "b1" in merged.components
     assert merged.motif("pack").members == {"b1"}
@@ -413,17 +419,7 @@ component b1: battery { charge = 80; } in pack at 0;
 
 def test_internal_model_joins_planning():
     system = _system(THERMOSTAT_DELIBERATIVE)
-    internal = _system("""\
-type battery object {
-  var charge: int[0, 100];
-}
-
-motif pack {
-  map line(1);
-}
-
-component b1: battery { charge = 80; } in pack at 0;
-""").cfg
+    internal = _system(BATTERY).cfg
     ad = system.agent_defs["h1"]
     spec = SensorSpec.from_def(ad.sensor, "house")
     goals = [system.goals[n] for n in ad.goals]
@@ -431,3 +427,30 @@ component b1: battery { charge = 80; } in pack at 0;
                       internal=internal)
     rt.step(system.cfg, 0, seed=0)
     assert "b1" in rt.planning_cfg().components
+
+
+def test_library_controller_covers_the_merged_planning_state():
+    # `low` is lost at every first action, so only a library controller
+    # covering the state the agent plans on (beliefs plus internal model)
+    # can keep it
+    system = _system(THERMOSTAT_DELIBERATIVE +
+                     "\ngoal low critical avoid (room.temp >= 17.0);\n")
+    internal = _system(BATTERY).cfg
+    spec = SensorSpec.from_def(system.agent_defs["h1"].sensor, "house")
+    low = system.goals["low"]
+
+    def runtime(repo=None):
+        return AgentRuntime("h1", spec, [low], repo=repo, horizon=2,
+                            truth=system.cfg, internal=internal)
+
+    probe = runtime()
+    assert probe.step(system.cfg, 0, seed=0) is None
+    assert probe.repo.records_of("dropped")
+    key = probe.planning_cfg().state_hash() + ":a"
+    assert key != probe.model.digest() + ":a"
+    ctrl = Controller({key}, {key: ("house/go[self=h1]",)})
+    repo = KnowledgeRepository(goals={"low": low}, controllers={
+        "lib": (frozenset({"low"}), ctrl)})
+    rt = runtime(repo)
+    assert rt.step(system.cfg, 0, seed=0) == "house/go[self=h1]"
+    assert not repo.records_of("dropped")

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from motifsim import sim
 from motifsim.errors import InvariantViolation, NoSafePlan, StateBudgetExceeded
 from motifsim.games import (
     AGENT_TURN, ENV_TURN, GameModel, IDLE, PASS, compose_environments,
@@ -9,7 +10,7 @@ from motifsim.games import (
     solve_safety,
 )
 from motifsim.lang import parse
-from motifsim.scenarios import THERMOSTAT
+from motifsim.scenarios import THERMOSTAT, bundled
 
 from game_oracle import oracle_reach, oracle_safety, random_game
 
@@ -154,6 +155,38 @@ def test_ground_unknown_ego():
     system = _thermostat_system()
     with pytest.raises(KeyError):
         ground(system.cfg, "nobody")
+
+
+# -- simulator against grounding ---------------------------------------------
+#
+# Every transition the simulator commits must be an edge of the game that
+# `ground` builds from the same initial configuration.  Platoon is left out
+# because its game exceeds the default 10^4-state budget, and shuttle
+# because it has no agent to take the ego's turn.
+
+
+@pytest.mark.parametrize("name, ego, size", [("thermostat", "h1", 52),
+                                             ("soccer", "p1", 4)])
+def test_committed_transitions_are_game_edges(name, ego, size):
+    sc = next(sc for sc in bundled() if sc.name == name)
+    game = ground(sc.build().cfg, ego)
+    assert len(game) == size
+    edges = {(s.key, a.label, game.states[a.dst].world)
+             for s in game.states for a in s.actions}
+    committed = set()
+    for seed in range(3):
+        system = sc.build()
+        pre = system.cfg.state_hash()
+        for e in sim.run(system, seed=seed).events:
+            if "error" in e:
+                continue
+            bind = ",".join(f"{p}={c}" for p, c in e["binding"].items())
+            label = f"{e['motif']}/{e['rule']}[{bind}]"
+            assert ((pre + ":a", label, e["post"]) in edges
+                    or (pre + ":e", label, e["post"]) in edges), (seed, e)
+            committed.add((pre, label, e["post"]))
+            pre = e["post"]
+    assert len(committed) > 1
 
 
 # -- environment product -----------------------------------------------------

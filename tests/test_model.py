@@ -5,17 +5,17 @@ from hashlib import blake2b
 import pytest
 
 from motifsim import sim
-from motifsim.errors import (
-    DomainError, NodeOccupied, NotAMember, UnknownEdge, UnknownNode,
-)
+from motifsim.errors import DomainError, EffectError, UnknownEdge, UnknownNode
+from motifsim.expr import TRUE, Lit
 from motifsim.games import ground
 from motifsim.lang import parse
 from motifsim.model import (
     AGENT, OBJECT, BoolDomain, ComponentInstance, ComponentType,
     Configuration, ControllerSpec, EnumDomain, IntRange, Map, Motif,
-    RealRange, UNREACHABLE, VarDecl, add_edge, add_node, grid_map, line_map,
-    node_sort_key, place, remove_edge, remove_node, ring_map,
+    RealRange, UNREACHABLE, VarDecl, grid_map, line_map, node_sort_key,
+    ring_map,
 )
+from motifsim.rules import CONFIG, MapEdit, Move, Param, Rule, apply
 from motifsim.scenarios import PLATOON, THERMOSTAT_DELIBERATIVE, bundled
 
 
@@ -119,47 +119,61 @@ def test_kind_restrictions():
         ComponentType("x", AGENT, [], dynamics=[object()])
 
 
+def _edit(cfg, *effects, who="c1"):
+    """`cfg` after a depot configuration rule carrying `effects` fires
+    with its crate parameter bound to `who`."""
+    rule = Rule("edit", CONFIG, [Param("a", "crate")], TRUE, list(effects))
+    return apply(cfg, "depot", rule, {"a": who})[0]
+
+
+def _placed(n):
+    return _edit(_world(), Move("a", Lit(n)))
+
+
 def test_place_and_occupancy():
     cfg = _world()
-    cfg2 = place(cfg, "c1", "depot", 2)
+    cfg2 = _edit(cfg, Move("a", Lit(2)))
     assert cfg.address("c1", "depot") is None
     assert cfg2.address("c1", "depot") == 2
     assert cfg2.occupied("depot", 2) == {"c1"}
-    with pytest.raises(NotAMember):
-        place(cfg, "nobody", "depot", 0)
-    with pytest.raises(UnknownNode):
-        place(cfg, "c1", "depot", 99)
+    with pytest.raises(EffectError, match="'nobody' is not a member of 'depot'"):
+        _edit(cfg, Move("a", Lit(0)), who="nobody")
+    with pytest.raises(EffectError, match="no node 99 in motif 'depot'"):
+        _edit(cfg, Move("a", Lit(99)))
 
 
 def test_remove_node_occupied():
-    cfg = place(_world(), "c1", "depot", 2)
-    with pytest.raises(NodeOccupied):
-        remove_node(cfg, "depot", 2)
-    cfg2 = remove_node(cfg, "depot", 3)
+    cfg = _placed(2)
+    with pytest.raises(EffectError, match="node 2 of 'depot' is occupied"):
+        _edit(cfg, MapEdit("removenode", [Lit(2)]))
+    cfg2 = _edit(cfg, MapEdit("removenode", [Lit(3)]))
     assert 3 not in cfg2.motifs["depot"].map.nodes
     assert 3 in cfg.motifs["depot"].map.nodes  # value semantics
 
 
 def test_add_remove_edge_ops():
     cfg = _world()
-    cfg2 = add_edge(cfg, "depot", 3, 0)
+    cfg2 = _edit(cfg, MapEdit("addedge", [Lit(3), Lit(0)]))
     assert cfg2.motifs["depot"].map.has_edge(3, 0)
-    cfg3 = remove_edge(cfg2, "depot", 3, 0)
+    assert not cfg.motifs["depot"].map.has_edge(3, 0)  # value semantics
+    cfg3 = _edit(cfg2, MapEdit("removeedge", [Lit(3), Lit(0)]))
     assert not cfg3.motifs["depot"].map.has_edge(3, 0)
-    cfg4 = add_node(cfg, "depot", 9)
+    with pytest.raises(EffectError, match="no edge 3 -> 0"):
+        _edit(cfg3, MapEdit("removeedge", [Lit(3), Lit(0)]))
+    cfg4 = _edit(cfg, MapEdit("addnode", [Lit(9)]))
     assert 9 in cfg4.motifs["depot"].map.nodes
 
 
 def test_state_hash_is_canonical():
-    a = place(_world(), "c1", "depot", 1)
-    b = place(_world(), "c1", "depot", 1)
+    a = _placed(1)
+    b = _placed(1)
     assert a.state_hash() == b.state_hash()
-    c = place(_world(), "c1", "depot", 2)
+    c = _placed(2)
     assert a.state_hash() != c.state_hash()
 
 
 def test_clone_is_copy_on_write():
-    cfg = place(_world(), "c1", "depot", 1)
+    cfg = _placed(1)
     c2 = cfg.clone()
     comp = c2._touch_component("c1")
     comp.state["full"] = True
@@ -354,3 +368,33 @@ def test_pinned_state_hashes(sc):
     initial, after = PINNED[sc.name]
     assert sc.build().cfg.state_hash() == initial
     assert sim.run(sc.build(), steps=50, seed=0).final.state_hash() == after
+
+
+# blake2b-64 of `Trace.text()` (bundled scenarios at default steps, DYNAMIC
+# at 300 steps): traces stay byte for byte, including the error text that a
+# failed effect writes into them
+TRACE_PINS = {
+    "thermostat": ("bdd40cf03838b168", "df4bc79f9870245f", "24999511c61c78e9"),
+    "platoon": ("e486b7203043be77", "f31d1646baee6618", "67280957b925c134"),
+    "soccer": ("77422b27a7e5362e", "63446402759786fb", "3b694f6907181d83"),
+    "shuttle": ("937cdc240ec13eac", "81a6f9da3925d36b", "ed20e66a508a7d70"),
+}
+DYNAMIC_TRACE_PINS = ("097c5769b6afc617", "274bf220b2f0d608", "c98f04c73dbab62b",
+                      "03c3fa44dfc081f1", "c859189aa199f4bb")
+
+
+def _trace_digest(trace):
+    return blake2b(trace.text().encode(), digest_size=8).hexdigest()
+
+
+@pytest.mark.parametrize("sc", bundled(), ids=lambda sc: sc.name)
+def test_pinned_scenario_traces(sc):
+    got = tuple(_trace_digest(sim.run(sc.build(), seed=s)) for s in range(3))
+    assert got == TRACE_PINS[sc.name]
+
+
+def test_pinned_dynamic_traces():
+    traces = [sim.run(_build(DYNAMIC), steps=300, seed=s) for s in range(5)]
+    assert tuple(map(_trace_digest, traces)) == DYNAMIC_TRACE_PINS
+    errors = {e["error"] for t in traces for e in t.events if "error" in e}
+    assert "no edge 3 -> 4" in errors

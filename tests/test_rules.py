@@ -3,14 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from motifsim.errors import (
-    EffectError, EvalError, NotAMember, UnknownMotif, UnknownType,
-)
-from motifsim.expr import Ctx, UNDEF, UnboundParam
+from motifsim.errors import EffectError, EvalError
+from motifsim.expr import TRUE, Ctx, Lit, UNDEF, UnboundParam
 from motifsim.lang import parse
 from motifsim.rules import (
-    apply, create_component, delete_component, enabled_bindings, migrate,
-    step_candidates,
+    CONFIG, Create, Param, Rule, apply, enabled_bindings, step_candidates,
 )
 
 CONVOY = """\
@@ -207,54 +204,74 @@ def test_candidate_apply_and_event():
 # -- component dynamism ------------------------------------------------------
 
 
+# CONVOY plus a pit, with configuration rules carrying the create, delete
+# and migrate effects
+DYNAMISM = CONVOY.replace("  map line(6);\n", """\
+  map line(6);
+  config rule spawn for a: car then { create n: car at 5 with { speed = 3; }; }
+  config rule drop for a: car then { delete(a); }
+  config rule park for a: car then { migrate(a, lane, pit, 0); }
+""") + "\nmotif pit {\n  map line(2);\n}\n"
+
+
+def _fire(cfg, name, cid):
+    """Apply the DYNAMISM lane rule `name` with its parameter bound to `cid`."""
+    return apply(cfg, "lane", _rule(cfg, "lane", name), {"a": cid})
+
+
 def test_create_component():
-    cfg = _system().cfg
-    nxt, cid = create_component(cfg, "car", "lane", node=5,
-                                init={"speed": 3})
-    assert cid == "car#0"
-    assert nxt.components[cid].state["speed"] == 3
-    assert nxt.address(cid, "lane") == 5
-    assert cid not in cfg.components
-    with pytest.raises(UnknownType):
-        create_component(cfg, "ghost", "lane")
-    with pytest.raises(UnknownMotif):
-        create_component(cfg, "car", "ghost")
+    cfg = _system(DYNAMISM).cfg
+    nxt, event = _fire(cfg, "spawn", "c1")
+    assert event.effects == [("create", "car#0", "car", "lane", 5)]
+    assert nxt.components["car#0"].state["speed"] == 3
+    assert nxt.address("car#0", "lane") == 5
+    assert "car#0" in nxt.motif("lane").members
+    assert "car#0" not in cfg.components  # value semantics
+    ghost = Rule("ghost", CONFIG, [Param("a", "car")], TRUE, [Create("n", "ghost")])
+    with pytest.raises(EffectError, match="unknown type 'ghost'"):
+        apply(cfg, "lane", ghost, {"a": "c1"})
+    nowhere = Rule("nowhere", CONFIG, [Param("a", "car")], TRUE,
+                   [Create("n", "car", motif="ghost", node=Lit(0))])
+    with pytest.raises(EffectError, match="no motif 'ghost'"):
+        apply(cfg, "lane", nowhere, {"a": "c1"})
 
 
 def test_delete_component():
-    cfg = _system().cfg
-    nxt = delete_component(cfg, "c1")
+    cfg = _system(DYNAMISM).cfg
+    nxt, event = _fire(cfg, "drop", "c1")
+    assert event.effects == [("delete", "c1")]
     assert "c1" not in nxt.components
     assert "c1" not in nxt.motif("lane").members
     assert nxt.address("c1", "lane") is None
-    with pytest.raises(UnknownType):
-        delete_component(nxt, "c1")
+    assert cfg.address("c1", "lane") == 0  # value semantics
+    with pytest.raises(EffectError, match="delete of nonexistent component 'c1'"):
+        _fire(nxt, "drop", "c1")
 
 
 def test_fresh_ids_survive_deletion():
-    cfg = _system().cfg
-    cfg2, cid1 = create_component(cfg, "car", "lane")
-    cfg3 = delete_component(cfg2, cid1)
-    _, cid2 = create_component(cfg3, "car", "lane")
-    assert cid2 != cid1  # ids are never reused
+    cfg = _system(DYNAMISM).cfg
+    cfg2, _ = _fire(cfg, "spawn", "c1")
+    cfg3, _ = _fire(cfg2, "drop", "car#0")
+    cfg4, event = _fire(cfg3, "spawn", "c1")
+    assert event.effects[0][1] == "car#1"  # ids are never reused
+    assert "car#0" not in cfg4.components
 
 
 def test_migrate_between_motifs():
-    model, _ = parse(CONVOY + "\nmotif pit {\n  map line(2);\n}\n")
-    cfg = model.build().cfg
-    nxt = migrate(cfg, "c1", "lane", "pit", node=0)
+    cfg = _system(DYNAMISM).cfg
+    nxt, _ = _fire(cfg, "park", "c1")
     assert "c1" not in nxt.motif("lane").members
     assert "c1" in nxt.motif("pit").members
     assert nxt.address("c1", "lane") is None
     assert nxt.address("c1", "pit") == 0
     assert nxt.components["c1"].state["speed"] == 2  # state untouched
-    with pytest.raises(NotAMember):
-        migrate(nxt, "c1", "lane", "pit")
+    assert cfg.address("c1", "lane") == 0  # value semantics
+    with pytest.raises(EffectError, match="'c1' is not a member of 'lane'"):
+        _fire(nxt, "park", "c1")
 
 
 def test_rule_kind_constraints():
-    from motifsim.expr import TRUE
-    from motifsim.rules import INTERACTION, Move, Param, Rule
+    from motifsim.rules import INTERACTION, Move
     from motifsim.expr import Sym
     with pytest.raises(ValueError):
         Rule("bad", INTERACTION, [Param("a", "car")], TRUE,

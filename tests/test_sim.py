@@ -4,6 +4,7 @@ import pytest
 
 from motifsim import sim
 from motifsim.errors import ReplayDivergence
+from motifsim.games import ground
 from motifsim.lang import parse
 from motifsim.scenarios import PLATOON, SHUTTLE, SOCCER, THERMOSTAT
 
@@ -200,6 +201,32 @@ def test_soccer_migrations_are_atomic_per_event():
             assert "p1" in world.cfg.motif(where).members
             assert "p2" in world.cfg.motif(where).members
         owner = now
+
+
+# the optional `c` finds no second car, so the effect reads an unbound
+# parameter
+LONER = """\
+type car agent {
+  var speed: int[0, 5];
+}
+
+motif lane {
+  map line(3);
+  interaction rule match for a: car, c?: car if a.speed < 5 then { a.speed := c.speed; }
+}
+
+component c1: car { speed = 2; } in lane at 0;
+"""
+
+
+def test_effect_on_unbound_optional_is_an_error_event():
+    system = _system(LONER)
+    trace = sim.run(system, steps=3, seed=0)
+    assert [(e["rule"], e.get("error")) for e in trace.events] == [
+        ("match", "effect on unbound parameter 'c'")] * 3
+    assert trace.final.state_hash() == system.cfg.state_hash()
+    game = ground(system.cfg, "c1")
+    assert [a.label for s in game.states for a in s.actions] == ["idle", "pass"]
 
 
 # -- check evaluation ---------------------------------------------------------
