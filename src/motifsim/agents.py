@@ -9,7 +9,7 @@ so belief/truth divergence under weak sensors is observable.
 import random
 from fractions import Fraction
 
-from .errors import EgoUnplaced, NoSafePlan, StateBudgetExceeded
+from .errors import EgoUnplaced, NoSafePlan
 from .goals import AVOID, CRITICAL
 from .model import Configuration, ComponentInstance, RealRange
 from .games import IDLE, plan_horizon
@@ -377,10 +377,6 @@ def SetHorizon(k):
     return Directive("set_horizon", k)
 
 
-def TriggerReplan():
-    return Directive("trigger_replan")
-
-
 def EnterRecovery(goal_name):
     return Directive("enter_recovery", goal_name)
 
@@ -414,7 +410,6 @@ def adapt(repo, model, window, active_goals, recovery=None, horizon=3,
         ref = window[-11]
         if now > th["theta_hi"] * ref:
             out.append(SetHorizon(max(1, horizon - 1)))
-            out.append(TriggerReplan())
         elif now < th["theta_lo"] * ref and horizon < th["horizon_cap"]:
             out.append(SetHorizon(horizon + 1))
     for name, pred, directives in repo.exceptional:
@@ -428,49 +423,35 @@ def adapt(repo, model, window, active_goals, recovery=None, horizon=3,
 # goal management
 
 
-def manage_goals(repo, model, directives, active_goals, ego, horizon,
-                 feasible=None, step=0):
+def manage_goals(repo, directives, active_goals, horizon, feasible, step=0):
     """Apply directives, order goals, keep a maximal feasible prefix.
 
     Goals sort critical-first, then priority, then declaration order.  A
     goal is kept iff it is jointly satisfiable with everything already
-    kept (`feasible(goal list)`); dropped goals are recorded.  Returns
-    `(kept goals, horizon, replan flag)`.
+    kept (`feasible(goal list, horizon)`, at the horizon the directives
+    set); dropped goals are recorded.  Returns `(kept goals, horizon)`.
     """
     goals = list(active_goals)
-    replan = False
     recovery_first = []
     for d in directives:
         if d.kind == "set_horizon":
             horizon = d.arg
-            replan = True
-        elif d.kind == "trigger_replan":
-            replan = True
         elif d.kind == "enter_recovery":
             g = repo.goals.get(d.arg)
             if g is not None and all(x.name != g.name for x in recovery_first):
                 goals = [x for x in goals if x.name != g.name]
                 recovery_first.append(g)
-                replan = True
 
     goals.sort(key=lambda g: g.sort_key())
     goals = recovery_first + goals
 
-    if feasible is None:
-        def feasible(gs):
-            try:
-                plan_horizon(model.cfg, ego, gs, horizon)
-                return True
-            except (NoSafePlan, StateBudgetExceeded):
-                return False
-
     kept = []
     for g in goals:
-        if feasible(kept + [g]):
+        if feasible(kept + [g], horizon):
             kept.append(g)
         else:
             repo.record(step, "dropped", g.name)
-    return kept, horizon, replan
+    return kept, horizon
 
 
 # ---------------------------------------------------------------------------
@@ -489,25 +470,21 @@ def _library_controller(repo, cfg, goals):
     return None, key
 
 
-def decide(model, goals, repo, ego, horizon, step=0):
+def decide(cfg, goals, repo, ego, horizon):
     """One controllable command label, or None for idle.
 
-    A library controller covering the believed state plays its first
-    kept action; otherwise a finite-horizon plan is computed on the
-    believed model.  NoSafePlan degrades to idle plus a monitor record.
+    A library controller covering the agent-turn state of `cfg` plays its
+    first kept action; otherwise a finite-horizon plan is computed on
+    `cfg`.  Raises `NoSafePlan` when the goals cannot be met.
     """
     if not goals:
         return None
-    ctrl, key = _library_controller(repo, model.cfg, goals)
+    ctrl, key = _library_controller(repo, cfg, goals)
     if ctrl is not None:
         for lab in ctrl.kept_actions(key):
             return None if lab == IDLE else lab
         return None
-    try:
-        plan = plan_horizon(model.cfg, ego, goals, horizon)
-    except (NoSafePlan, StateBudgetExceeded) as e:
-        repo.record(step, "no_plan", str(e))
-        return None
+    plan = plan_horizon(cfg, ego, goals, horizon)
     return None if plan.first_action == IDLE else plan.first_action
 
 
@@ -528,11 +505,15 @@ def merge_configs(a, b):
     return cfg
 
 
+# the memoized outcome of a `decide` that raised `NoSafePlan`
+_NO_PLAN = object()
+
+
 class AgentRuntime:
     """Per-agent mutable state threaded through the simulation."""
 
-    def __init__(self, ego, spec, goals, repo=None, horizon=3, recovery=None,
-                 thresholds=None, truth=None, internal=None):
+    def __init__(self, ego, spec, goals, truth, repo=None, horizon=3,
+                 recovery=None, thresholds=None, internal=None):
         self.ego = ego
         self.spec = spec
         self.repo = repo if repo is not None else KnowledgeRepository(
@@ -543,13 +524,12 @@ class AgentRuntime:
         self.thresholds = dict(DEFAULT_THRESHOLDS)
         self.thresholds.update(thresholds or {})
         self.internal = internal
-        self.model = EnvModel.blank(truth, spec.motif) if truth is not None \
-            else None
+        self.model = EnvModel.blank(truth, spec.motif)
         self.window = []
         self.ewma = Fraction(0)
         self._last_percept = None
-        self._feas_cache = {}
-        self._decide_cache = {}
+        # (planning state hash, goal names, horizon) -> label or _NO_PLAN
+        self._decided = {}
 
     def observe_event(self, uncontrollable):
         """Feed the committed event's controllability into the EWMA."""
@@ -564,31 +544,28 @@ class AgentRuntime:
             return self.model.cfg
         return merge_configs(self.model.cfg, self.internal)
 
-    def _feasible(self, gs):
-        cfg = self.planning_cfg()
-        key = (cfg.state_hash(), tuple(g.name for g in gs), self.horizon)
-        hit = self._feas_cache.get(key)
-        if hit is not None:
-            return hit
-        ok = _library_controller(self.repo, cfg, gs)[0] is not None
-        if not ok:
+    def _decide(self, cfg, goals, horizon):
+        """`decide` memoized on its key; `_NO_PLAN` stands for
+        `NoSafePlan` (the exception is not kept: its traceback pins the
+        planner's frames)."""
+        key = (cfg.state_hash(), tuple(g.name for g in goals), horizon)
+        if key not in self._decided:
             try:
-                plan_horizon(cfg, self.ego, gs, self.horizon)
-                ok = True
-            except (NoSafePlan, StateBudgetExceeded):
-                ok = False
-        self._feas_cache[key] = ok
-        return ok
+                label = decide(cfg, goals, self.repo, self.ego, horizon)
+            except NoSafePlan:
+                label = _NO_PLAN
+            self._decided[key] = label
+        return self._decided[key]
 
     def step(self, truth, step, seed):
         """perceive -> reflect -> adapt -> manage_goals -> decide.
 
         Returns a candidate label (or None for idle).  Deterministic in
         `(truth, state, seed)`: the step RNG is derived from all three.
+        The command is never `_NO_PLAN`: the same memoized `decide`
+        found the kept goals feasible.
         """
         rng = random.Random(f"{seed}:{self.ego}:{step}")
-        if self.model is None:
-            self.model = EnvModel.blank(truth, self.spec.motif)
         percept = perceive(truth, self.ego, self.spec, step, rng)
         pc = percept.canonical()
         if pc != self._last_percept or any(self.model.staleness.values()):
@@ -598,19 +575,11 @@ class AgentRuntime:
         directives = adapt(self.repo, self.model, self.window, self.active,
                            recovery=self.recovery, horizon=self.horizon,
                            thresholds=self.thresholds, step=step)
-        goals, self.horizon, replan = manage_goals(
-            self.repo, self.model, directives, self.active, self.ego,
-            self.horizon, feasible=self._feasible, step=step)
-        if replan:
-            self._decide_cache.clear()
-        dkey = (self.planning_cfg().state_hash(),
-                tuple(g.name for g in goals), self.horizon)
-        if dkey in self._decide_cache:
-            return self._decide_cache[dkey]
-        wrapped = EnvModel(self.planning_cfg(), self.model.motif)
-        label = decide(wrapped, goals, self.repo, self.ego, self.horizon, step)
-        self._decide_cache[dkey] = label
-        return label
+        cfg = self.planning_cfg()
+        goals, self.horizon = manage_goals(
+            self.repo, directives, self.active, self.horizon,
+            lambda gs, h: self._decide(cfg, gs, h) is not _NO_PLAN, step=step)
+        return self._decide(cfg, goals, self.horizon)
 
 
 # ---------------------------------------------------------------------------

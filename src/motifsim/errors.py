@@ -53,8 +53,9 @@ class StateBudgetExceeded(EngineError):
 
 
 class NoSafePlan(EngineError):
-    """Every first action admits an environment branch into a
-    critical-avoid state within the horizon."""
+    """Every first action admits an environment branch that enters a
+    critical-avoid state or misses a critical reach goal within the
+    horizon."""
 
 
 class ReplayDivergence(EngineError):

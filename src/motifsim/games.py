@@ -555,8 +555,9 @@ def plan_horizon(cfg, ego, goals, horizon):
     ok, val, root = agent_step(cfg, 0, reached0, clean0)
     if not ok:
         raise NoSafePlan(
-            "every first action admits an env branch into a critical-avoid "
-            f"state within horizon {horizon}")
+            "every first action admits an env branch that enters a "
+            "critical-avoid state or misses a critical reach goal within "
+            f"horizon {horizon}")
     return Plan(root, root.action, val)
 
 

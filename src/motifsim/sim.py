@@ -97,8 +97,6 @@ class World:
                               horizon=ad.horizon, recovery=ad.recovery,
                               thresholds=ad.thresholds, truth=self.cfg)
             rt.repo.patterns = list(ad.patterns)
-            for g in goals:
-                rt.repo.goals.setdefault(g.name, g)
             if ad.recovery and ad.recovery in system.goals:
                 rt.repo.goals.setdefault(ad.recovery, system.goals[ad.recovery])
             self.runtimes[ego] = rt

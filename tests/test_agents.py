@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from motifsim import agents
 from motifsim.agents import (
     AgentRuntime, DEFAULT_THRESHOLDS, EnterRecovery, EnvModel,
-    KnowledgeRepository, SensorSpec, SetHorizon, TriggerReplan, adapt,
-    believed_view, decide, manage_goals, merge_configs, perceive, reflect,
-    restrict,
+    KnowledgeRepository, SensorSpec, SetHorizon, adapt, believed_view,
+    decide, manage_goals, merge_configs, perceive, reflect, restrict,
 )
-from motifsim.errors import EgoUnplaced
+from motifsim.errors import EgoUnplaced, NoSafePlan
 from motifsim.expr import TRUE
 from motifsim.games import Controller
 from motifsim.goals import Goal
@@ -235,8 +235,7 @@ def test_adapt_ewma_shrinks_and_grows_horizon():
     repo = KnowledgeRepository()
     rising = [Fraction(1, 10)] * 10 + [Fraction(1, 2)]
     out = adapt(repo, model, rising, [], horizon=3)
-    kinds = [d.kind for d in out]
-    assert kinds == ["set_horizon", "trigger_replan"]
+    assert [d.kind for d in out] == ["set_horizon"]
     assert out[0].arg == 2
     falling = [Fraction(1, 2)] * 10 + [Fraction(1, 10)]
     out = adapt(repo, model, falling, [], horizon=3)
@@ -252,30 +251,28 @@ def test_adapt_exceptional_rules_fire():
     system = _system(THERMOSTAT)
     repo = KnowledgeRepository(exceptional=[
         ("hot", lambda c: c.components["room"].state["temp"] > 21,
-         [SetHorizon(1), TriggerReplan()])])
+         [SetHorizon(1), EnterRecovery("reheat")])])
     cfg = system.cfg.clone()
     cfg._touch_component("room").state["temp"] = Fraction(22)
     out = adapt(repo, EnvModel(cfg, "house"), [], [])
-    assert [d.kind for d in out] == ["set_horizon", "trigger_replan"]
+    assert [d.kind for d in out] == ["set_horizon", "enter_recovery"]
     assert repo.records_of("exceptional")
 
 
 # -- goal management ---------------------------------------------------------
 
 
-def test_manage_goals_keeps_feasible_prefix():
+def test_manage_goals_drops_infeasible_goals():
     system = _system(THERMOSTAT)
-    model = EnvModel(system.cfg, "house")
     repo = KnowledgeRepository()
     g1 = system.goals["band"]
     g2 = Goal("impossible", "avoid", predicate=g1.predicate,
               criticality="best_effort", priority=5)
-    feasible = lambda gs: all(g.name != "impossible" for g in gs)
-    kept, horizon, replan = manage_goals(
-        repo, model, [], [g2, g1], "h1", 3, feasible=feasible)
+    feasible = lambda gs, h: all(g.name != "impossible" for g in gs)
+    kept, horizon = manage_goals(repo, [], [g2, g1], 3, feasible)
     assert [g.name for g in kept] == ["band"]
     assert [r.detail for r in repo.records_of("dropped")] == ["impossible"]
-    assert horizon == 3 and replan is False
+    assert horizon == 3
 
 
 def test_manage_goals_orders_critical_first():
@@ -284,8 +281,7 @@ def test_manage_goals_orders_critical_first():
     g1 = system.goals["band"]
     g2 = Goal("nicety", "avoid", predicate=g1.predicate,
               criticality="best_effort")
-    kept, _, _ = manage_goals(repo, EnvModel(system.cfg, "house"), [],
-                              [g2, g1], "h1", 3, feasible=lambda gs: True)
+    kept, _ = manage_goals(repo, [], [g2, g1], 3, lambda gs, h: True)
     assert [g.name for g in kept] == ["band", "nicety"]
 
 
@@ -295,21 +291,22 @@ def test_manage_goals_recovery_goes_on_top():
     rec = Goal("reheat", "reach", predicate=g1.predicate,
                criticality="critical")
     repo = KnowledgeRepository(goals={"reheat": rec})
-    kept, _, replan = manage_goals(
-        repo, EnvModel(system.cfg, "house"), [EnterRecovery("reheat")],
-        [g1], "h1", 3, feasible=lambda gs: True)
+    kept, _ = manage_goals(repo, [EnterRecovery("reheat")], [g1], 3,
+                           lambda gs, h: True)
     assert [g.name for g in kept] == ["reheat", "band"]
-    assert replan is True
 
 
 def test_manage_goals_directives():
     system = _system(THERMOSTAT)
     g1 = system.goals["band"]
     repo = KnowledgeRepository()
-    kept, horizon, replan = manage_goals(
-        repo, EnvModel(system.cfg, "house"), [SetHorizon(5)], [g1], "h1", 3,
-        feasible=lambda gs: True)
-    assert horizon == 5 and replan is True
+    checked = []
+    kept, horizon = manage_goals(
+        repo, [SetHorizon(5)], [g1], 3,
+        lambda gs, h: checked.append(h) or True)
+    assert horizon == 5
+    # feasibility is judged at the horizon the directives set
+    assert checked == [5]
 
 
 # -- decision ----------------------------------------------------------------
@@ -317,18 +314,16 @@ def test_manage_goals_directives():
 
 def test_decide_without_goals_is_idle():
     system = _system(THERMOSTAT)
-    assert decide(EnvModel(system.cfg, "house"), [], KnowledgeRepository(),
-                  "h1", 3) is None
+    assert decide(system.cfg, [], KnowledgeRepository(), "h1", 3) is None
 
 
 def test_decide_plays_a_library_controller():
     system = _system(THERMOSTAT)
-    model = EnvModel(system.cfg, "house")
-    key = model.digest() + ":a"
+    key = system.cfg.state_hash() + ":a"
     ctrl = Controller({key}, {key: ("house/go[self=h1]",)})
     repo = KnowledgeRepository(controllers={
         "lib": (frozenset({"band"}), ctrl)})
-    lab = decide(model, [system.goals["band"]], repo, "h1", 3)
+    lab = decide(system.cfg, [system.goals["band"]], repo, "h1", 3)
     assert lab == "house/go[self=h1]"
 
 
@@ -336,21 +331,20 @@ def test_decide_falls_back_to_planning_on_state_miss():
     system = _system(THERMOSTAT)
     cfg = system.cfg.clone()
     cfg._touch_component("room").state["temp"] = Fraction(18)
-    model = EnvModel(cfg, "house")
     ctrl = Controller({"deadbeef:a"}, {"deadbeef:a": ("nope",)})
     repo = KnowledgeRepository(controllers={
         "lib": (frozenset({"band"}), ctrl)})
-    lab = decide(model, [system.goals["band"]], repo, "h1", 2)
+    lab = decide(cfg, [system.goals["band"]], repo, "h1", 2)
     assert lab is not None and "nope" not in lab
 
 
-def test_decide_records_no_plan():
+def test_decide_raises_no_safe_plan():
     # an unavoidable critical goal: every first action loses
     imp = _system(THERMOSTAT + "\ngoal low critical avoid (room.temp >= 17.0);\n")
     repo = KnowledgeRepository()
-    lab = decide(EnvModel(imp.cfg, "house"), [imp.goals["low"]], repo, "h1", 2)
-    assert lab is None
-    assert repo.records_of("no_plan")
+    with pytest.raises(NoSafePlan):
+        decide(imp.cfg, [imp.goals["low"]], repo, "h1", 2)
+    assert not repo.records
 
 
 # -- the composed loop -------------------------------------------------------
@@ -454,3 +448,53 @@ def test_library_controller_covers_the_merged_planning_state():
     rt = runtime(repo)
     assert rt.step(system.cfg, 0, seed=0) == "house/go[self=h1]"
     assert not repo.records_of("dropped")
+
+
+def _count_plans(monkeypatch):
+    """Wrap `agents.plan_horizon`; returns the horizons planned at."""
+    horizons = []
+    original = agents.plan_horizon
+
+    def counted(cfg, ego, goals, horizon):
+        horizons.append(horizon)
+        return original(cfg, ego, goals, horizon)
+
+    monkeypatch.setattr(agents, "plan_horizon", counted)
+    return horizons
+
+
+def test_feasibility_is_judged_at_the_adapted_horizon(monkeypatch):
+    # `cooled` is reachable within two agent turns from 20.0 but not one;
+    # a rising uncontrollable-event rate shrinks the horizon from 2 to 1
+    system = _system(THERMOSTAT_DELIBERATIVE +
+                     "\ngoal cooled critical reach (room.temp <= 19.0);\n")
+    spec = SensorSpec.from_def(system.agent_defs["h1"].sensor, "house")
+    rt = AgentRuntime("h1", spec, [system.goals["cooled"]], horizon=2,
+                      truth=system.cfg)
+    rt.window = [Fraction(1, 10)] * 10 + [Fraction(1, 2)]
+    horizons = _count_plans(monkeypatch)
+    assert rt.step(system.cfg, 0, seed=0) is None
+    assert rt.horizon == 1
+    assert horizons == [1]
+    assert [(r.kind, r.detail) for r in rt.repo.records] == [
+        ("dropped", "cooled")]
+
+
+def test_planning_cfg_is_merged_once_per_step(monkeypatch):
+    system = _system(THERMOSTAT_DELIBERATIVE)
+    ad = system.agent_defs["h1"]
+    spec = SensorSpec.from_def(ad.sensor, "house")
+    goals = [system.goals[n] for n in ad.goals]
+    merges = []
+    original = agents.merge_configs
+
+    def counted(a, b):
+        merges.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(agents, "merge_configs", counted)
+    rt = AgentRuntime("h1", spec, goals, horizon=2, truth=system.cfg,
+                      internal=_system(BATTERY).cfg)
+    for i in range(10):
+        rt.step(system.cfg, i, seed=0)
+    assert 0 < len(merges) <= 10

@@ -263,6 +263,14 @@ def test_plan_no_safe_plan():
         plan_horizon(system.cfg, "h1", [trap], 2)
 
 
+def test_no_safe_plan_names_a_missed_reach_goal():
+    # no avoid goal at all: 17.0 is out of reach within two agent turns
+    system = _thermostat_system()
+    far = _thermostat_goal("goal g critical reach (room.temp <= 17.0);")
+    with pytest.raises(NoSafePlan, match="misses a critical reach goal"):
+        plan_horizon(system.cfg, "h1", [far], 2)
+
+
 def test_plan_horizon_validation():
     system = _thermostat_system()
     with pytest.raises(ValueError):

@@ -1,10 +1,11 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from hashlib import blake2b
 
 import pytest
 
-from motifsim import sim
+from motifsim import agents, sim
 from motifsim.errors import DomainError, EffectError, UnknownEdge, UnknownNode
 from motifsim.expr import TRUE, Lit
 from motifsim.games import ground
@@ -381,6 +382,17 @@ TRACE_PINS = {
 }
 DYNAMIC_TRACE_PINS = ("097c5769b6afc617", "274bf220b2f0d608", "c98f04c73dbab62b",
                       "03c3fa44dfc081f1", "c859189aa199f4bb")
+# the deliberative thermostat and platoon, default steps, seeds 0-4
+DELIBERATIVE_TRACE_PINS = {
+    "thermostat_deliberative": (
+        "6ac7ecaf1a766e8c", "231d14f8fbda63b6", "4aa201fca8df6ec6",
+        "32ba8c2e10e982b0", "bc9d33260bf2ce31"),
+    "platoon_deliberative": (
+        "eb623d391c0b7b5d", "07162abf964f3ad3", "9755e57a198172d0",
+        "31b2c63376184a59", "c03d988b3d353f4b"),
+}
+DELIBERATIVE = {"thermostat_deliberative": THERMOSTAT_DELIBERATIVE,
+                "platoon_deliberative": PLATOON_DELIBERATIVE}
 
 
 def _trace_digest(trace):
@@ -398,3 +410,32 @@ def test_pinned_dynamic_traces():
     assert tuple(map(_trace_digest, traces)) == DYNAMIC_TRACE_PINS
     errors = {e["error"] for t in traces for e in t.events if "error" in e}
     assert "no edge 3 -> 4" in errors
+
+
+@pytest.mark.parametrize("name", sorted(DELIBERATIVE))
+def test_pinned_deliberative_traces(name):
+    got = tuple(_trace_digest(sim.run(_build(DELIBERATIVE[name]), seed=s))
+                for s in range(5))
+    assert got == DELIBERATIVE_TRACE_PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(DELIBERATIVE))
+def test_each_belief_is_planned_once(monkeypatch, name):
+    # goal feasibility and the chosen command share one memoized plan per
+    # (agent, planning state, goal names, horizon)
+    planned = Counter()
+    original = agents.plan_horizon
+
+    def counted(cfg, ego, goals, horizon):
+        planned[ego, cfg.state_hash(), tuple(g.name for g in goals),
+                horizon] += 1
+        return original(cfg, ego, goals, horizon)
+
+    monkeypatch.setattr(agents, "plan_horizon", counted)
+    for seed in range(3):
+        planned.clear()
+        world = sim.World(_build(DELIBERATIVE[name]), seed=seed)
+        for _ in range(100):
+            if world.advance() is None:
+                break
+        assert planned and max(planned.values()) == 1
