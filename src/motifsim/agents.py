@@ -530,6 +530,8 @@ class AgentRuntime:
         self._last_percept = None
         # (planning state hash, goal names, horizon) -> label or _NO_PLAN
         self._decided = {}
+        # (believed model, its merge with `internal`)
+        self._merged = None
 
     def observe_event(self, uncontrollable):
         """Feed the committed event's controllability into the EWMA."""
@@ -540,9 +542,13 @@ class AgentRuntime:
             del self.window[:-16]
 
     def planning_cfg(self):
+        """The beliefs, merged with the internal model when there is one;
+        merged again only when `reflect` has replaced the beliefs."""
         if self.internal is None:
             return self.model.cfg
-        return merge_configs(self.model.cfg, self.internal)
+        if self._merged is None or self._merged[0] is not self.model:
+            self._merged = (self.model, merge_configs(self.model.cfg, self.internal))
+        return self._merged[1]
 
     def _decide(self, cfg, goals, horizon):
         """`decide` memoized on its key; `_NO_PLAN` stands for

@@ -1,9 +1,10 @@
 """Turn-based two-player games over grounded configurations.
 
-Grounding, the greatest-fixpoint safety solver (maximally permissive),
-the least-fixpoint reachability attractor with ranks, environment-model
-products, finite-horizon AND-OR planning, and the tabular controller
-file format.
+Grounding; the greatest-fixpoint safety solver (maximally permissive)
+and the least-fixpoint reachability attractor, whose ranks count game
+moves to target at agent and env turns alike, each one O(|V|+|E|)
+backward pass; environment-model products; finite-horizon AND-OR
+planning; and the tabular controller file format.
 """
 
 from collections import deque
@@ -235,25 +236,38 @@ def solve_safety(game):
     winning.  `kept` retains every winning-preserving controllable
     action.  An env-turn state with no actions cannot be spoiled and
     counts as winning when not bad.
+
+    One backward pass over predecessor lists, O(|V|+|E|): an agent-turn
+    state counts the controllable actions that can still save it and
+    falls when the count reaches zero; an env-turn state falls with its
+    first fallen successor.
     """
-    n = len(game.states)
-    alive = [not s.bad for s in game.states]
-    changed = True
-    while changed:
-        changed = False
-        for i, s in enumerate(game.states):
-            if not alive[i]:
-                continue
-            if s.turn == AGENT_TURN:
-                ok = any(alive[a.dst] for a in s.actions if a.controllable)
-            else:
-                ok = all(alive[a.dst] for a in s.actions)
-            if not ok:
-                alive[i] = False
-                changed = True
-    winning = {game.states[i].key for i in range(n) if alive[i]}
+    states = game.states
+    preds = [[] for _ in states]
+    # agent turn: controllable actions not yet fallen; env turn: 1, so
+    # that its first fallen successor fells it
+    count = []
+    alive = []
+    queue = deque()
+    for i, s in enumerate(states):
+        agent = s.turn == AGENT_TURN
+        for a in s.actions:
+            if a.controllable or not agent:
+                preds[a.dst].append(i)
+        count.append(sum(a.controllable for a in s.actions) if agent else 1)
+        alive.append(not s.bad and count[i] > 0)
+        if not alive[i]:
+            queue.append(i)
+    while queue:
+        for p in preds[queue.popleft()]:
+            if alive[p]:
+                count[p] -= 1
+                if not count[p]:
+                    alive[p] = False
+                    queue.append(p)
+    winning = {s.key for i, s in enumerate(states) if alive[i]}
     kept = {}
-    for i, s in enumerate(game.states):
+    for i, s in enumerate(states):
         if alive[i] and s.turn == AGENT_TURN:
             kept[s.key] = tuple(
                 a.label for a in s.actions if a.controllable and alive[a.dst])
@@ -261,54 +275,59 @@ def solve_safety(game):
 
 
 def solve_reach(game, within=None):
-    """Least fixpoint attractor with rank = guaranteed agent turns to target.
+    """Least fixpoint attractor with rank = guaranteed game moves to target.
 
+    A rank counts moves at both agent and env turns: a target has rank
+    0, an agent-turn state one more than its best controllable
+    successor, an env-turn state one more than its worst successor.
     With `within`, the game is first restricted to that controller's
     winning set and kept actions.  Kept actions strictly decrease rank,
-    so following them reaches the target within `rank(initial)` agent
-    turns under every environment branch.
+    so following them reaches the target within `rank(initial)` moves
+    under every environment branch.
+
+    One backward breadth-first pass from the targets, O(|V|+|E|): an
+    agent-turn state is ranked by its first ranked successor, an
+    env-turn state once its count of unranked successors reaches zero.
     """
-    def allowed(i):
-        return within is None or game.states[i].key in within.winning
+    states = game.states
 
-    def usable(s, a):
-        if within is None or not a.controllable:
-            return True
-        return a.label in within.kept.get(s.key, ())
+    def usable(s):
+        # an agent turn's controllable actions, restricted to `within`'s kept
+        kept = None if within is None else within.kept.get(s.key, ())
+        return [a for a in s.actions
+                if a.controllable and (kept is None or a.label in kept)]
 
-    rank = {}
-    for i, s in enumerate(game.states):
-        if allowed(i) and s.target:
+    preds = [[] for _ in states]
+    # agent turn: 1, so that its first ranked successor ranks it;
+    # env turn: successors not yet ranked
+    count = [0] * len(states)
+    rank = [None] * len(states)
+    queue = deque()
+    for i, s in enumerate(states):
+        if within is not None and s.key not in within.winning:
+            continue
+        if s.target:
             rank[i] = 0
-    r = 0
-    while True:
-        r += 1
-        new = []
-        for i, s in enumerate(game.states):
-            if i in rank or not allowed(i):
-                continue
-            if s.turn == AGENT_TURN:
-                if any(usable(s, a) and a.dst in rank for a in s.actions
-                       if a.controllable):
-                    new.append(i)
-            else:
-                succs = [a.dst for a in s.actions]
-                if succs and all(d in rank for d in succs):
-                    new.append(i)
-        if not new:
-            break
-        for i in new:
-            rank[i] = r
-    winning = {game.states[i].key for i in rank}
-    kept = {}
-    ranks = {game.states[i].key: k for i, k in rank.items()}
-    for i, k in rank.items():
-        s = game.states[i]
-        if s.turn == AGENT_TURN:
-            kept[s.key] = tuple(
-                a.label for a in s.actions
-                if a.controllable and usable(s, a) and rank.get(a.dst, 10**9) < k)
-    return Controller(winning, kept, ranks)
+            queue.append(i)
+        else:
+            succs = usable(s) if s.turn == AGENT_TURN else s.actions
+            count[i] = 1 if s.turn == AGENT_TURN else len(succs)
+            for a in succs:
+                preds[a.dst].append(i)
+    while queue:
+        d = queue.popleft()
+        for p in preds[d]:
+            if rank[p] is None:
+                count[p] -= 1
+                if not count[p]:
+                    rank[p] = rank[d] + 1
+                    queue.append(p)
+    ranks = {s.key: rank[i] for i, s in enumerate(states) if rank[i] is not None}
+    kept = {s.key: tuple(a.label for a in usable(s)
+                         if rank[a.dst] is not None and rank[a.dst] < rank[i])
+            for i, s in enumerate(states)
+            if rank[i] is not None and s.turn == AGENT_TURN}
+    return Controller(ranks, kept, ranks)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,15 @@
 Winning sets are computed by enumerating every positional strategy of
 the protagonist and model-checking each one directly on the game graph,
 with none of the solver's fixpoint machinery.  Also hosts the seeded
-random-game generator used by the solver test corpus.
+random-game generator used by the solver test corpus, and the
+round-by-round reference solvers that the engine's linear-time
+attractors must match in `winning`, `kept` and `rank`.
 """
 
 import itertools
 import random
 
-from motifsim.games import AGENT_TURN, ENV_TURN, GameModel
+from motifsim.games import AGENT_TURN, ENV_TURN, Controller, GameModel
 
 
 def random_game(seed, max_states=8, max_actions=3):
@@ -124,3 +126,77 @@ def oracle_reach(game, bound=None):
             if s0 not in winning and ok(s0, bound):
                 winning.add(s0)
     return {game.states[i].key for i in sorted(winning)}
+
+
+def reference_safety(game):
+    """Round-by-round greatest fixpoint, O(|V|·rounds): every round
+    rescans every state until no state falls."""
+    n = len(game.states)
+    alive = [not s.bad for s in game.states]
+    changed = True
+    while changed:
+        changed = False
+        for i, s in enumerate(game.states):
+            if not alive[i]:
+                continue
+            if s.turn == AGENT_TURN:
+                ok = any(alive[a.dst] for a in s.actions if a.controllable)
+            else:
+                ok = all(alive[a.dst] for a in s.actions)
+            if not ok:
+                alive[i] = False
+                changed = True
+    winning = {game.states[i].key for i in range(n) if alive[i]}
+    kept = {}
+    for i, s in enumerate(game.states):
+        if alive[i] and s.turn == AGENT_TURN:
+            kept[s.key] = tuple(
+                a.label for a in s.actions if a.controllable and alive[a.dst])
+    return Controller(winning, kept)
+
+
+def reference_reach(game, within=None):
+    """Round-by-round least fixpoint, O(|V|·rounds): round r ranks every
+    state that some controllable action (agent turn) or every action
+    (env turn) takes into the states ranked before r."""
+    def allowed(i):
+        return within is None or game.states[i].key in within.winning
+
+    def usable(s, a):
+        if within is None or not a.controllable:
+            return True
+        return a.label in within.kept.get(s.key, ())
+
+    rank = {}
+    for i, s in enumerate(game.states):
+        if allowed(i) and s.target:
+            rank[i] = 0
+    r = 0
+    while True:
+        r += 1
+        new = []
+        for i, s in enumerate(game.states):
+            if i in rank or not allowed(i):
+                continue
+            if s.turn == AGENT_TURN:
+                if any(usable(s, a) and a.dst in rank for a in s.actions
+                       if a.controllable):
+                    new.append(i)
+            else:
+                succs = [a.dst for a in s.actions]
+                if succs and all(d in rank for d in succs):
+                    new.append(i)
+        if not new:
+            break
+        for i in new:
+            rank[i] = r
+    winning = {game.states[i].key for i in rank}
+    kept = {}
+    ranks = {game.states[i].key: k for i, k in rank.items()}
+    for i, k in rank.items():
+        s = game.states[i]
+        if s.turn == AGENT_TURN:
+            kept[s.key] = tuple(
+                a.label for a in s.actions
+                if a.controllable and usable(s, a) and rank.get(a.dst, 10**9) < k)
+    return Controller(winning, kept, ranks)

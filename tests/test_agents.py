@@ -498,3 +498,28 @@ def test_planning_cfg_is_merged_once_per_step(monkeypatch):
     for i in range(10):
         rt.step(system.cfg, i, seed=0)
     assert 0 < len(merges) <= 10
+
+
+def test_planning_cfg_is_merged_once_per_reflect(monkeypatch):
+    system = _system(THERMOSTAT_DELIBERATIVE)
+    ad = system.agent_defs["h1"]
+    spec = SensorSpec.from_def(ad.sensor, "house")
+    goals = [system.goals[n] for n in ad.goals]
+    calls = {"merge_configs": 0, "reflect": 0}
+
+    def counted(name):
+        original = getattr(agents, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(agents, name, wrapper)
+
+    counted("merge_configs")
+    counted("reflect")
+    rt = AgentRuntime("h1", spec, goals, horizon=2, truth=system.cfg,
+                      internal=_system(BATTERY).cfg)
+    for i in range(10):
+        rt.step(system.cfg, i, seed=0)
+    assert calls["reflect"] > 0
+    assert calls["merge_configs"] == calls["reflect"]

@@ -12,7 +12,10 @@ from motifsim.games import (
 from motifsim.lang import parse
 from motifsim.scenarios import THERMOSTAT, bundled
 
-from game_oracle import oracle_reach, oracle_safety, random_game
+from game_oracle import (
+    oracle_reach, oracle_safety, random_game, reference_reach, reference_safety,
+)
+from test_acceptance import _scenario_games
 
 
 def _thermostat_system():
@@ -100,6 +103,75 @@ def test_oracle_equivalence_sample():
         game = random_game(seed)
         assert solve_safety(game).winning == oracle_safety(game), seed
         assert solve_reach(game).winning == oracle_reach(game), seed
+
+
+def _assert_matches_reference(game):
+    """The engine's solvers equal the round-by-round references in
+    `winning`, `kept` and `rank`, with and without `within`."""
+    safe, ref_safe = solve_safety(game), reference_safety(game)
+    pairs = ((safe, ref_safe), (solve_reach(game), reference_reach(game)),
+             (solve_reach(game, within=safe), reference_reach(game, within=ref_safe)))
+    for got, want in pairs:
+        assert got.winning == want.winning
+        assert got.kept == want.kept
+        assert got.rank == want.rank
+
+
+def test_solvers_match_reference_on_random_games():
+    for seed in range(1000):
+        game = random_game(seed, max_states=30, max_actions=4)
+        try:
+            _assert_matches_reference(game)
+        except AssertionError:
+            pytest.fail(f"solver differs from reference on random_game({seed})")
+
+
+def test_solvers_match_reference_on_scenario_games():
+    for game in _scenario_games():
+        _assert_matches_reference(game)
+        # the scenario games carry no targets; rank a third of the states
+        for i, s in enumerate(game.states):
+            s.target = i % 3 == 0
+        _assert_matches_reference(game)
+
+
+def _chain(n, bad=False):
+    """s0 -> s1 -> ... -> s(n-1), alternating agent/env turns from s0.
+
+    Agent turns go forward (`go`); those in the first half may also step
+    back (`back`) to the env turn before them, which returns them.  The
+    last state is the single target (or, with `bad`, the single bad
+    state)."""
+    g = GameModel()
+    for i in range(n):
+        last = i == n - 1
+        g.add_state(f"s{i}", f"w{i}", AGENT_TURN if i % 2 == 0 else ENV_TURN,
+                    bad=bad and last, target=not bad and last)
+    for i in range(n - 1):
+        if i % 2 == 0:
+            g.add_action(i, "go", i + 1, True)
+            if 0 < i < n // 2:
+                g.add_action(i, "back", i - 1, True)
+        else:
+            g.add_action(i, PASS, i + 1, False)
+    return g
+
+
+def test_long_chain_solves_in_one_pass():
+    # the round-by-round solvers settle one state per round here, so
+    # they would rescan all 2*10^4 states at least 10^4 times
+    n = 20000
+    ctrl = solve_reach(_chain(n))
+    assert ctrl.rank == {f"s{i}": n - 1 - i for i in range(n)}
+    assert all(ctrl.kept[f"s{i}"] == ("go",) for i in range(0, n - 1, 2))
+    # the agent escapes the bad end only by stepping back, which the
+    # agent turns below n/2 can; from env turn n/2 - 1 on, every play is
+    # forced into the bad state
+    assert (n // 2) % 2 == 0
+    ctrl = solve_safety(_chain(n, bad=True))
+    assert ctrl.winning == {f"s{i}" for i in range(n // 2 - 1)}
+    assert ctrl.kept[f"s{n // 2 - 2}"] == ("back",)
+    assert ctrl.kept["s0"] == ("go",)
 
 
 def test_validate_rejects_nonsense():
