@@ -358,9 +358,6 @@ class KnowledgeRepository:
     def record(self, step, kind, detail):
         self.records.append(Record(step, kind, detail))
 
-    def records_of(self, kind):
-        return [r for r in self.records if r.kind == kind]
-
 
 class Directive:
     __slots__ = ("kind", "arg")
@@ -612,8 +609,3 @@ def restrict(truth, spec):
         out.append((cid, comp.type.name, node,
                     tuple((a, comp.state[a]) for a in names)))
     return tuple(out)
-
-
-def believed_view(model, spec):
-    """The believed model in the same canonical shape as `restrict`."""
-    return restrict(model.cfg, spec)

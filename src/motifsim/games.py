@@ -93,9 +93,6 @@ class Controller:
     def kept_actions(self, key):
         return self.kept.get(key, ())
 
-    def is_reach(self):
-        return bool(self.rank)
-
     def validate(self, game):
         """Check the controller invariants against `game`.
 
@@ -150,15 +147,15 @@ def _always_false(cfg):
     return False
 
 
-def ground(cfg, ego, max_states=10000, max_depth=None, bad=None, target=None):
+def ground(cfg, ego, max_states=10000, bad=None, target=None):
     """BFS-explore the configuration space into a turn-based game.
 
     The ego's rule instances and controller moves are controllable;
     object dynamics and other components' candidates are uncontrollable.
     Each reached configuration contributes an agent-turn and an env-turn
-    state.  Raises `StateBudgetExceeded` when the bounds truncate the
-    reachable space, signalling callers to plan on a finite horizon
-    instead.
+    state.  The state budget `max_states` is the only bound: raises
+    `StateBudgetExceeded` when it truncates the reachable space,
+    signalling callers to plan on a finite horizon instead.
     """
     if ego not in cfg.components:
         raise KeyError(f"no ego component {ego!r}")
@@ -186,33 +183,22 @@ def ground(cfg, ego, max_states=10000, max_depth=None, bad=None, target=None):
     queue = deque()
     w0, _ = intern(cfg)
     game.initial = game.by_world[(w0, AGENT_TURN)]
-    queue.append((w0, 0))
-    expanded = set()
+    queue.append(w0)
 
     while queue:
-        w, depth = queue.popleft()
-        if w in expanded:
-            continue
-        expanded.add(w)
-        c = worlds[w]
+        w = queue.popleft()
         ia = game.by_world[(w, AGENT_TURN)]
         ie = game.by_world[(w, ENV_TURN)]
-        cands = step_candidates(c, ego)
-        over_depth = max_depth is not None and depth >= max_depth
-
         env_any = False
-        for cand in cands:
+        for cand in step_candidates(worlds[w]):
             try:
-                nxt, _ = cand.apply_to(c)
+                nxt, _ = cand.fire()
             except EffectError:
                 # a failing effect means the command is not actually fireable
                 continue
-            if over_depth and nxt.state_hash() not in worlds:
-                raise StateBudgetExceeded(
-                    f"depth budget {max_depth} exceeded", frontier=len(queue) + 1)
             wn, fresh = intern(nxt)
             if fresh:
-                queue.append((wn, depth + 1))
+                queue.append(wn)
             if cand.is_controllable(ego):
                 game.add_action(ia, cand.label, game.by_world[(wn, ENV_TURN)], True)
             else:
@@ -503,7 +489,9 @@ def plan_horizon(cfg, ego, goals, horizon):
                 clean = clean - {g.name}
         return reached, clean
 
-    def agent_step(c, depth, reached, clean):
+    # `cands`, when given, is `step_candidates(c)` listed by the caller:
+    # an agent's idle and an environment's pass keep the configuration
+    def agent_step(c, depth, reached, clean, cands=None):
         key = (c.state_hash(), depth, reached, clean)
         hit = memo.get(key)
         if hit is not None:
@@ -516,19 +504,20 @@ def plan_horizon(cfg, ego, goals, horizon):
                 res = (False, None, None)
             memo[key] = res
             return res
-        cands = [x for x in step_candidates(c, ego) if x.is_controllable(ego)]
-        options = [(x.label, x) for x in cands] + [(IDLE, None)]
+        if cands is None:
+            cands = step_candidates(c)
+        options = [(x.label, x) for x in cands if x.is_controllable(ego)]
         best_val = None
         best_node = None
-        for label, cand in options:
-            if cand is not None:
+        for label, cand in options + [(IDLE, None)]:
+            if cand is None:
+                ok, val, node = env_step(c, depth, reached, clean, cands)
+            else:
                 try:
-                    nxt = cand.apply_to(c)[0]
+                    nxt = cand.fire()[0]
                 except EffectError:
                     continue
-            else:
-                nxt = c
-            ok, val, node = env_step(nxt, depth, reached, clean)
+                ok, val, node = env_step(nxt, depth, reached, clean)
             if not ok:
                 continue
             if best_val is None or val > best_val:
@@ -542,26 +531,29 @@ def plan_horizon(cfg, ego, goals, horizon):
         memo[key] = res
         return res
 
-    def env_step(c, depth, reached, clean):
+    def env_step(c, depth, reached, clean, cands=None):
         # `c` is the state after the agent's move at level `depth`
         if violated(c):
             return (False, None, None)
         reached, clean = update_flags(c, reached, clean)
-        uncs = [x for x in step_candidates(c, ego) if not x.is_controllable(ego)]
+        if cands is None:
+            cands = step_candidates(c)
         branches = []
-        for x in uncs:
+        for x in cands:
+            if x.is_controllable(ego):
+                continue
             try:
-                branches.append((x.label, x.apply_to(c)[0]))
+                branches.append((x.label, x.fire()[0], None))
             except EffectError:
                 continue
-        branches = branches or [(PASS, c)]
+        branches = branches or [(PASS, c, cands)]
         children = []
         worst = None
-        for label, nxt in branches:
+        for label, nxt, nxt_cands in branches:
             if violated(nxt):
                 return (False, None, None)
             r2, c2 = update_flags(nxt, reached, clean)
-            ok, val, node = agent_step(nxt, depth + 1, r2, c2)
+            ok, val, node = agent_step(nxt, depth + 1, r2, c2, nxt_cands)
             if not ok:
                 return (False, None, None)
             children.append((label, node))

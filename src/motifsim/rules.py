@@ -1,11 +1,13 @@
 """Parametric interaction and configuration rules.
 
 The transition relation between configurations: binding enumeration,
-atomic rule application, and the global candidate list that schedulers
-and the game grounder consume.  The command effects below are the only
-implementation of each configuration edit (assignment, exchange, move,
-create, delete, join, leave, migrate and map edits); `apply` runs them on
-a private clone.
+atomic rule application, and the global candidate list.  A `Candidate`
+is one enabled rule instance on the configuration it was listed on, and
+`Candidate.fire()` is the one successor operation that the scheduler,
+replay, the game grounder and the planner share.  The command effects
+below are the only implementation of each configuration edit
+(assignment, exchange, move, create, delete, join, leave, migrate and
+map edits); `apply` runs them on a private clone.
 """
 
 from .errors import EffectError, EngineError
@@ -498,25 +500,36 @@ def apply(cfg, motif_id, rule, binding):
 
 
 class Candidate:
-    """One fireable event: (motif, rule, binding) plus controllability."""
+    """One enabled rule instance on `source`: (motif, rule, binding) plus
+    controllability."""
 
-    __slots__ = ("motif", "rule", "binding", "label", "controlled_by", "kind")
+    __slots__ = ("source", "motif", "rule", "binding", "label",
+                 "controlled_by", "kind", "_fired")
 
-    def __init__(self, motif, rule, binding, controlled_by, kind):
+    def __init__(self, source, motif, rule, binding, controlled_by, kind):
+        self.source = source
         self.motif = motif
         self.rule = rule
         self.binding = binding
         self.controlled_by = controlled_by
         self.kind = kind
+        self._fired = None
         bind = ",".join(f"{p.name}={binding[p.name]}"
                         for p in rule.params if p.name in binding)
         self.label = f"{motif}/{rule.name}[{bind}]"
 
-    def apply_to(self, cfg):
-        return apply(cfg, self.motif, self.rule, self.binding)
+    def fire(self):
+        """`(successor, event)` of applying this instance to `source`.
+
+        Computed once and kept; a failing effect is not kept and raises
+        `EffectError` on every call.
+        """
+        if self._fired is None:
+            self._fired = apply(self.source, self.motif, self.rule, self.binding)
+        return self._fired
 
     def is_controllable(self, ego):
-        return ego is not None and ego in self.controlled_by
+        return ego in self.controlled_by
 
     def __repr__(self):
         return f"<candidate {self.label}>"
@@ -529,14 +542,12 @@ def _agent_participants(cfg, binding):
     )
 
 
-def step_candidates(cfg, ego=None):
+def step_candidates(cfg):
     """Every enabled rule, controller-transition and dynamics instance.
 
     Deterministic order: motif id, rule declaration order, lexicographic
     binding; per motif, declared rules come first, then controller
     transitions (by agent id), then object dynamics (by object id).
-    When `ego` is given, each candidate's `is_controllable(ego)` tags it
-    relative to that agent.
     """
     cands = []
     for mid in sorted(cfg.motifs):
@@ -544,7 +555,7 @@ def step_candidates(cfg, ego=None):
         for rule in list(motif.interaction_rules) + list(motif.configuration_rules):
             for binding in enabled_bindings(cfg, mid, rule):
                 cands.append(Candidate(
-                    mid, rule, binding, _agent_participants(cfg, binding),
+                    cfg, mid, rule, binding, _agent_participants(cfg, binding),
                     rule.kind))
         for cid in sorted(motif.members):
             comp = cfg.components.get(cid)
@@ -555,11 +566,11 @@ def step_candidates(cfg, ego=None):
                     for binding in enabled_bindings(
                             cfg, mid, rule, fixed={"self": cid}):
                         cands.append(Candidate(
-                            mid, rule, binding, frozenset([cid]), CONTROLLER))
+                            cfg, mid, rule, binding, frozenset([cid]), CONTROLLER))
             elif comp.type.dynamics:
                 for rule in comp.type.dynamics:
                     for binding in enabled_bindings(
                             cfg, mid, rule, fixed={"self": cid}):
                         cands.append(Candidate(
-                            mid, rule, binding, frozenset(), DYNAMICS))
+                            cfg, mid, rule, binding, frozenset(), DYNAMICS))
     return cands

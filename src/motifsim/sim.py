@@ -87,8 +87,8 @@ class World:
         self.rng = random.Random(f"run:{seed}")
         self.step_no = 0
         self.rr = 0
+        # state hash -> its candidates, each keeping its fired successor
         self._cands = {}
-        self._apply = {}
         self.runtimes = {}
         for ego, ad in system.agent_defs.items():
             spec = SensorSpec.from_def(ad.sensor, self._default_motif(ego))
@@ -126,14 +126,6 @@ class World:
             cands = step_candidates(self.cfg)
             self._cands[h] = cands
         return cands
-
-    def _apply_cached(self, cand):
-        key = (self.cfg.state_hash(), cand.label)
-        hit = self._apply.get(key)
-        if hit is None:
-            hit = cand.apply_to(self.cfg)
-            self._apply[key] = hit
-        return hit
 
     def _pools(self, chosen_labels, steered=()):
         deliberative = set(self.runtimes) | set(steered)
@@ -192,35 +184,31 @@ class World:
                 self.rr += 1
             else:
                 cand = self.rng.choice(pool)
+        error = None
         if cand is None:
-            if self.policy == "script" and step < len(self.script):
-                # scripted rule not enabled: an explicit stutter step
-                self.step_no += 1
-                for rt in self.runtimes.values():
-                    rt.observe_event(False)
-                return {"step": step, "motif": None, "rule": None,
-                        "binding": {}, "post": self.cfg.state_hash(),
-                        "unc": False, "beliefs": beliefs}
-            return None
-
-        try:
-            nxt, event = self._apply_cached(cand)
-        except EffectError as e:
-            # a command that fails to execute consumes the step
-            self.step_no += 1
-            return {"step": step, "motif": cand.motif, "rule": cand.rule.name,
-                    "binding": dict(cand.binding), "post": self.cfg.state_hash(),
-                    "unc": not bool(cand.controlled_by), "error": str(e),
-                    "beliefs": beliefs}
-        unc = not (cand.controlled_by & set(self.runtimes)) \
-            and cand.kind != CONTROLLER
-        self.cfg = nxt
+            if self.policy != "script" or step >= len(self.script):
+                return None
+            # scripted rule not enabled: an explicit stutter step
+            motif = rule = None
+            binding = {}
+            unc = False
+        else:
+            motif, rule, binding = cand.motif, cand.rule.name, dict(cand.binding)
+            unc = not (cand.controlled_by & set(self.runtimes)) \
+                and cand.kind != CONTROLLER
+            try:
+                self.cfg = cand.fire()[0]
+            except EffectError as e:
+                # a command that fails to execute consumes the step
+                error = str(e)
         self.step_no += 1
         for rt in self.runtimes.values():
             rt.observe_event(unc)
-        return {"step": step, "motif": event.motif, "rule": event.rule,
-                "binding": dict(event.binding), "post": event.post_hash,
-                "unc": unc, "beliefs": beliefs}
+        event = {"step": step, "motif": motif, "rule": rule, "binding": binding,
+                 "post": self.cfg.state_hash(), "unc": unc, "beliefs": beliefs}
+        if error is not None:
+            event["error"] = error
+        return event
 
 
 def _compile_checks(system):
@@ -233,9 +221,9 @@ def _compile_checks(system):
     return checks
 
 
-def _eval_always(checks, cfg, step):
+def _eval_checks(checks, when, cfg, step):
     for cd, fn, res in checks:
-        if cd.when != "always":
+        if cd.when != when:
             continue
         try:
             ok = bool(fn(Ctx(cfg)))
@@ -259,21 +247,14 @@ def run(system, steps=None, seed=None, policy=None, controllers=None):
     trace = Trace({"model": _model_hash(system), "seed": seed,
                    "policy": policy, "steps": steps})
     checks = _compile_checks(system)
-    _eval_always(checks, world.cfg, -1)
+    _eval_checks(checks, "always", world.cfg, -1)
     for _ in range(steps):
         e = world.advance()
         if e is None:
             break
         trace.events.append(e)
-        _eval_always(checks, world.cfg, e["step"])
-    for cd, fn, res in checks:
-        if cd.when == "finally":
-            try:
-                ok = bool(fn(Ctx(world.cfg)))
-            except (EngineError, UnboundParam):
-                ok = False
-            if not ok:
-                res.fail(world.step_no)
+        _eval_checks(checks, "always", world.cfg, e["step"])
+    _eval_checks(checks, "finally", world.cfg, world.step_no)
     trace.checks = [res for _, _, res in checks]
     trace.final = world.cfg
     return trace
@@ -308,7 +289,7 @@ def replay(system, trace_text):
         if cand is None:
             raise ReplayDivergence(
                 f"recorded event not enabled at step {step}", step=step)
-        cfg, ev = cand.apply_to(cfg)
+        cfg, ev = cand.fire()
         if ev.post_hash != e["post"]:
             raise ReplayDivergence(f"state mismatch at step {step}", step=step)
     return cfg

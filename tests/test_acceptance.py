@@ -15,7 +15,7 @@ from motifsim.games import (
 )
 from motifsim.lang import parse, print_model
 from motifsim.rules import apply, enabled_bindings, step_candidates
-from motifsim.agents import EnvModel, SensorSpec, believed_view, perceive, reflect, restrict
+from motifsim.agents import EnvModel, SensorSpec, perceive, reflect, restrict
 from motifsim.scenarios import (
     PLATOON, SHUTTLE, SOCCER, THERMOSTAT, THERMOSTAT_DELIBERATIVE, bundled,
 )
@@ -304,7 +304,7 @@ def test_criterion_09_reflection_fidelity():
         model = EnvModel.blank(world.cfg, motif)
         for step in range(steps + 1):
             model = reflect(model, perceive(world.cfg, ego, spec, step))
-            assert believed_view(model, spec) == restrict(world.cfg, spec), \
+            assert restrict(model.cfg, spec) == restrict(world.cfg, spec), \
                 (ego, step)
             total += 1
             if step < steps and world.advance() is None:

@@ -6,7 +6,7 @@ import pytest
 from motifsim import agents
 from motifsim.agents import (
     AgentRuntime, DEFAULT_THRESHOLDS, EnterRecovery, EnvModel,
-    KnowledgeRepository, SensorSpec, SetHorizon, adapt, believed_view,
+    KnowledgeRepository, SensorSpec, SetHorizon, adapt,
     decide, manage_goals, merge_configs, perceive, reflect, restrict,
 )
 from motifsim.errors import EgoUnplaced, NoSafePlan
@@ -122,7 +122,7 @@ def test_reflect_reaches_fidelity_in_one_step():
     spec = _road_spec()
     model = EnvModel.blank(cfg, "road")
     model = reflect(model, perceive(cfg, "v1", spec))
-    assert believed_view(model, spec) == restrict(cfg, spec)
+    assert restrict(model.cfg, spec) == restrict(cfg, spec)
 
 
 def test_reflect_tracks_movement():
@@ -131,7 +131,7 @@ def test_reflect_tracks_movement():
     spec = _road_spec()
     model = reflect(EnvModel.blank(cfg, "road"), perceive(cfg, "v1", spec))
     cand = next(c for c in step_candidates(cfg) if "advance[a=v4]" in c.label)
-    cfg2, _ = cand.apply_to(cfg)
+    cfg2, _ = cand.fire()
     model = reflect(model, perceive(cfg2, "v1", spec))
     assert model.cfg.address("v4", "road") == 7
 
@@ -170,7 +170,7 @@ def test_anonymous_association():
     hypos = sorted(model.cfg.components)
     assert hypos == ["vehicle?0", "vehicle?1", "vehicle?2", "vehicle?3"]
     cand = next(c for c in step_candidates(cfg) if "advance[a=v4]" in c.label)
-    cfg2, _ = cand.apply_to(cfg)
+    cfg2, _ = cand.fire()
     model2 = reflect(model, perceive(cfg2, "v1", spec))
     # the moved detection associates to the nearest tracked hypothesis
     assert sorted(model2.cfg.components) == hypos
@@ -225,7 +225,7 @@ def test_adapt_detects_violation_and_recovers():
                 recovery="reheat", step=9)
     assert [d.kind for d in out] == ["enter_recovery"]
     assert out[0].arg == "reheat"
-    recs = repo.records_of("violation")
+    recs = [r for r in repo.records if r.kind == "violation"]
     assert len(recs) == 1 and recs[0].step == 9
 
 
@@ -256,7 +256,7 @@ def test_adapt_exceptional_rules_fire():
     cfg._touch_component("room").state["temp"] = Fraction(22)
     out = adapt(repo, EnvModel(cfg, "house"), [], [])
     assert [d.kind for d in out] == ["set_horizon", "enter_recovery"]
-    assert repo.records_of("exceptional")
+    assert any(r.kind == "exceptional" for r in repo.records)
 
 
 # -- goal management ---------------------------------------------------------
@@ -271,7 +271,7 @@ def test_manage_goals_drops_infeasible_goals():
     feasible = lambda gs, h: all(g.name != "impossible" for g in gs)
     kept, horizon = manage_goals(repo, [], [g2, g1], 3, feasible)
     assert [g.name for g in kept] == ["band"]
-    assert [r.detail for r in repo.records_of("dropped")] == ["impossible"]
+    assert [r.detail for r in repo.records if r.kind == "dropped"] == ["impossible"]
     assert horizon == 3
 
 
@@ -439,7 +439,7 @@ def test_library_controller_covers_the_merged_planning_state():
 
     probe = runtime()
     assert probe.step(system.cfg, 0, seed=0) is None
-    assert probe.repo.records_of("dropped")
+    assert any(r.kind == "dropped" for r in probe.repo.records)
     key = probe.planning_cfg().state_hash() + ":a"
     assert key != probe.model.digest() + ":a"
     ctrl = Controller({key}, {key: ("house/go[self=h1]",)})
@@ -447,7 +447,7 @@ def test_library_controller_covers_the_merged_planning_state():
         "lib": (frozenset({"low"}), ctrl)})
     rt = runtime(repo)
     assert rt.step(system.cfg, 0, seed=0) == "house/go[self=h1]"
-    assert not repo.records_of("dropped")
+    assert not any(r.kind == "dropped" for r in repo.records)
 
 
 def _count_plans(monkeypatch):

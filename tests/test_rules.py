@@ -6,8 +6,10 @@ import pytest
 from motifsim.errors import EffectError, EvalError
 from motifsim.expr import TRUE, Ctx, Lit, UNDEF, UnboundParam
 from motifsim.lang import parse
+from motifsim import rules
 from motifsim.rules import (
-    CONFIG, Create, Param, Rule, apply, enabled_bindings, step_candidates,
+    CONFIG, INTERACTION, Candidate, Create, Param, Rule, apply,
+    enabled_bindings, step_candidates,
 )
 
 CONVOY = """\
@@ -182,6 +184,30 @@ def test_apply_is_atomic_on_failure():
     assert cfg.components["c1"].state["speed"] == 2
 
 
+def test_fire_is_computed_once(monkeypatch):
+    cfg = _system().cfg
+    cand = next(c for c in step_candidates(cfg) if "advance[a=c2]" in c.label)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return apply(*args)
+
+    monkeypatch.setattr(rules, "apply", counting)
+    first = cand.fire()
+    assert cand.fire() is first
+    assert len(calls) == 1
+
+
+def test_failing_fire_raises_every_time():
+    cfg = _system().cfg
+    cand = Candidate(cfg, "lane", _rule(cfg, "lane", "swap"), {"a": "c1"},
+                     frozenset(["c1"]), INTERACTION)
+    for _ in range(2):
+        with pytest.raises(EffectError, match="unbound parameter 'b'"):
+            cand.fire()
+
+
 def test_move_respects_occupancy_guard():
     cfg = _system().cfg
     labels = [c.label for c in step_candidates(cfg)]
@@ -194,7 +220,7 @@ def test_move_respects_occupancy_guard():
 def test_candidate_apply_and_event():
     cfg = _system().cfg
     cand = next(c for c in step_candidates(cfg) if "advance[a=c2]" in c.label)
-    nxt, event = cand.apply_to(cfg)
+    nxt, event = cand.fire()
     assert nxt.address("c2", "lane") == 2
     assert cfg.address("c2", "lane") == 1
     assert event.rule == "advance"
@@ -284,7 +310,7 @@ def test_dynamics_candidates_are_uncontrolled():
     from motifsim.scenarios import SHUTTLE
     model, _ = parse(SHUTTLE)
     cfg = model.build().cfg
-    cands = step_candidates(cfg, ego="bus")
+    cands = step_candidates(cfg)
     assert len(cands) == 1
     assert cands[0].kind == "dynamics"
     assert not cands[0].is_controllable("bus")

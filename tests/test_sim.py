@@ -224,9 +224,39 @@ def test_effect_on_unbound_optional_is_an_error_event():
     trace = sim.run(system, steps=3, seed=0)
     assert [(e["rule"], e.get("error")) for e in trace.events] == [
         ("match", "effect on unbound parameter 'c'")] * 3
+    # no deliberative participant: uncontrollable, failed or not
+    assert all(e["unc"] is True for e in trace.events)
     assert trace.final.state_hash() == system.cfg.state_hash()
     game = ground(system.cfg, "c1")
     assert [a.label for s in game.states for a in s.actions] == ["idle", "pass"]
+
+
+def test_error_events_are_observed_by_agents():
+    system = _system(LONER.replace("type car agent", """type watcher agent {
+  var on: bool;
+}
+
+type car agent""") + """
+component w1: watcher in lane at 2;
+
+goal stay critical avoid (c1.speed = 5);
+
+agent w1 {
+  sensor {
+    radius inf;
+    see car;
+    identity on;
+    detect 1.0;
+  }
+  goals stay;
+  horizon 1;
+}
+""")
+    world = sim.World(system, seed=0)
+    window = world.runtimes["w1"].window
+    for n in range(1, 4):
+        assert "error" in world.advance()
+        assert len(window) == n
 
 
 # -- check evaluation ---------------------------------------------------------
