@@ -455,34 +455,23 @@ def manage_goals(repo, directives, active_goals, horizon, feasible, step=0):
 # decision
 
 
-def _library_controller(repo, cfg, goals):
-    """The first library controller (by name) whose goals are among
-    `goals` and which covers the agent-turn state of `cfg`, with that
-    state's key; `(None, key)` when none does."""
-    names = {g.name for g in goals}
-    key = cfg.state_hash() + ":a"
-    for _, (gnames, ctrl) in sorted(repo.controllers.items()):
-        if gnames <= names and ctrl.covers(key):
-            return ctrl, key
-    return None, key
-
-
 def decide(cfg, goals, repo, ego, horizon):
     """One controllable command label, or None for idle.
 
-    A library controller covering the agent-turn state of `cfg` plays its
-    first kept action; otherwise a finite-horizon plan is computed on
-    `cfg`.  Raises `NoSafePlan` when the goals cannot be met.
+    The first library controller (by name) whose goals are among `goals`
+    and which wins at `cfg` plays its command there; otherwise a
+    finite-horizon plan is computed on `cfg`.  Raises `NoSafePlan` when
+    the goals cannot be met.
     """
     if not goals:
         return None
-    ctrl, key = _library_controller(repo, cfg, goals)
-    if ctrl is not None:
-        for lab in ctrl.kept_actions(key):
-            return None if lab == IDLE else lab
-        return None
-    plan = plan_horizon(cfg, ego, goals, horizon)
-    return None if plan.first_action == IDLE else plan.first_action
+    names = {g.name for g in goals}
+    for _, (gnames, ctrl) in sorted(repo.controllers.items()):
+        if gnames <= names and (cmd := ctrl.command(cfg)) is not None:
+            break
+    else:
+        cmd = plan_horizon(cfg, ego, goals, horizon).first_action
+    return None if cmd == IDLE else cmd
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Turn-based two-player games over grounded configurations.
 
-Grounding; the greatest-fixpoint safety solver (maximally permissive)
-and the least-fixpoint reachability attractor, whose ranks count game
-moves to target at agent and env turns alike, each one O(|V|+|E|)
-backward pass; environment-model products; finite-horizon AND-OR
-planning; and the tabular controller file format.
+`moves` is the one expansion of a configuration into a turn's moves;
+grounding and finite-horizon AND-OR planning both read the game through
+it.  The greatest-fixpoint safety solver (maximally permissive) and the
+least-fixpoint reachability solver, whose ranks count game moves to
+target at agent and env turns alike, share one O(|V|+|E|) backward
+attractor pass, run for opposite players.  Also: environment-model
+products, the tabular controller file format, and `Controller.command`,
+the one way a controller picks the command to play.
 """
 
 from collections import deque
@@ -93,6 +96,16 @@ class Controller:
     def kept_actions(self, key):
         return self.kept.get(key, ())
 
+    def command(self, cfg):
+        """The action this controller plays at `cfg`'s agent-turn state:
+        its first kept action, or `idle` when none is kept; None when
+        that state is not winning."""
+        key = cfg.state_hash() + ":a"
+        if key not in self.winning:
+            return None
+        kept = self.kept.get(key)
+        return kept[0] if kept else IDLE
+
     def validate(self, game):
         """Check the controller invariants against `game`.
 
@@ -147,15 +160,40 @@ def _always_false(cfg):
     return False
 
 
+def moves(cfg, cands, ego, turn):
+    """One turn's `(label, successor)` moves from `cfg`, in candidate order.
+
+    `cands` is `step_candidates(cfg)`.  At an agent turn the moves are
+    the ego's candidates that fire, then `idle`; at an env turn, every
+    other candidate that fires, or `pass` when none does.  A candidate
+    whose effect raises `EffectError` is not a move.  `idle` and `pass`
+    keep the configuration: their successor is `cfg` itself.
+    """
+    agent = turn == AGENT_TURN
+    out = []
+    for cand in cands:
+        if cand.is_controllable(ego) == agent:
+            try:
+                out.append((cand.label, cand.fire()[0]))
+            except EffectError:
+                pass
+    if agent:
+        out.append((IDLE, cfg))
+    elif not out:
+        out.append((PASS, cfg))
+    return out
+
+
 def ground(cfg, ego, max_states=10000, bad=None, target=None):
     """BFS-explore the configuration space into a turn-based game.
 
-    The ego's rule instances and controller moves are controllable;
-    object dynamics and other components' candidates are uncontrollable.
     Each reached configuration contributes an agent-turn and an env-turn
-    state.  The state budget `max_states` is the only bound: raises
-    `StateBudgetExceeded` when it truncates the reachable space,
-    signalling callers to plan on a finite horizon instead.
+    state, whose actions are its `moves` at that turn: the ego's rule
+    instances and controller moves are controllable; object dynamics and
+    other components' candidates are uncontrollable.  The state budget
+    `max_states` is the only bound: raises `StateBudgetExceeded` when it
+    truncates the reachable space, signalling callers to plan on a
+    finite horizon instead.
     """
     if ego not in cfg.components:
         raise KeyError(f"no ego component {ego!r}")
@@ -163,6 +201,7 @@ def ground(cfg, ego, max_states=10000, bad=None, target=None):
     target = target or _always_false
     game = GameModel()
     worlds = {}
+    queue = deque()
 
     def intern(c):
         w = c.state_hash()
@@ -170,7 +209,7 @@ def ground(cfg, ego, max_states=10000, bad=None, target=None):
         if prev is not None:
             if prev.canonical_key() != c.canonical_key():
                 raise InvariantViolation(f"state hash collision at {w!r}")
-            return w, False
+            return w
         if len(game.states) + 2 > max_states:
             raise StateBudgetExceeded(
                 f"state budget {max_states} exceeded", frontier=len(queue) + 1)
@@ -178,40 +217,49 @@ def ground(cfg, ego, max_states=10000, bad=None, target=None):
         b, t = bad(c), target(c)
         game.add_state(w + ":a", w, AGENT_TURN, b, t)
         game.add_state(w + ":e", w, ENV_TURN, b, t)
-        return w, True
+        queue.append(w)
+        return w
 
-    queue = deque()
-    w0, _ = intern(cfg)
-    game.initial = game.by_world[(w0, AGENT_TURN)]
-    queue.append(w0)
-
+    game.initial = game.by_world[(intern(cfg), AGENT_TURN)]
     while queue:
         w = queue.popleft()
-        ia = game.by_world[(w, AGENT_TURN)]
-        ie = game.by_world[(w, ENV_TURN)]
-        env_any = False
-        for cand in step_candidates(worlds[w]):
-            try:
-                nxt, _ = cand.fire()
-            except EffectError:
-                # a failing effect means the command is not actually fireable
-                continue
-            wn, fresh = intern(nxt)
-            if fresh:
-                queue.append(wn)
-            if cand.is_controllable(ego):
-                game.add_action(ia, cand.label, game.by_world[(wn, ENV_TURN)], True)
-            else:
-                env_any = True
-                game.add_action(ie, cand.label, game.by_world[(wn, AGENT_TURN)], False)
-        game.add_action(ia, IDLE, ie, True)
-        if not env_any:
-            game.add_action(ie, PASS, ia, False)
+        c = worlds[w]
+        cands = step_candidates(c)
+        for turn, to in ((AGENT_TURN, ENV_TURN), (ENV_TURN, AGENT_TURN)):
+            src = game.by_world[(w, turn)]
+            for label, nxt in moves(c, cands, ego, turn):
+                dst = game.by_world[(w if nxt is c else intern(nxt), to)]
+                game.add_action(src, label, dst, turn == AGENT_TURN)
     return game
 
 
 # ---------------------------------------------------------------------------
 # solvers
+
+
+def _attractor(preds, count, seeds):
+    """One player's attractor to `seeds`, one backward pass, O(|V|+|E|).
+
+    `preds[d]` lists the source of every counted edge into `d`, once
+    per edge.  A state joins the attractor once `count` of its counted
+    edges lead into it: 1 at the attracting player's turns, all of them
+    at the opponent's.  Returns each state's rank, the least number of
+    moves in which the attracting player forces a seed (FIFO order finds
+    it), or None outside the attractor.  `count` is consumed.
+    """
+    rank = [None] * len(count)
+    for i in seeds:
+        rank[i] = 0
+    queue = deque(seeds)
+    while queue:
+        d = queue.popleft()
+        for p in preds[d]:
+            if rank[p] is None:
+                count[p] -= 1
+                if not count[p]:
+                    rank[p] = rank[d] + 1
+                    queue.append(p)
+    return rank
 
 
 def solve_safety(game):
@@ -223,40 +271,27 @@ def solve_safety(game):
     action.  An env-turn state with no actions cannot be spoiled and
     counts as winning when not bad.
 
-    One backward pass over predecessor lists, O(|V|+|E|): an agent-turn
-    state counts the controllable actions that can still save it and
-    falls when the count reaches zero; an env-turn state falls with its
-    first fallen successor.
+    The winning set is the complement of the environment's attractor to
+    the bad states and the agent-turn states without a controllable
+    action: an agent-turn state falls once all its controllable actions
+    have, an env-turn state with its first fallen successor.
     """
     states = game.states
     preds = [[] for _ in states]
-    # agent turn: controllable actions not yet fallen; env turn: 1, so
-    # that its first fallen successor fells it
     count = []
-    alive = []
-    queue = deque()
     for i, s in enumerate(states):
         agent = s.turn == AGENT_TURN
         for a in s.actions:
             if a.controllable or not agent:
                 preds[a.dst].append(i)
         count.append(sum(a.controllable for a in s.actions) if agent else 1)
-        alive.append(not s.bad and count[i] > 0)
-        if not alive[i]:
-            queue.append(i)
-    while queue:
-        for p in preds[queue.popleft()]:
-            if alive[p]:
-                count[p] -= 1
-                if not count[p]:
-                    alive[p] = False
-                    queue.append(p)
-    winning = {s.key for i, s in enumerate(states) if alive[i]}
-    kept = {}
-    for i, s in enumerate(states):
-        if alive[i] and s.turn == AGENT_TURN:
-            kept[s.key] = tuple(
-                a.label for a in s.actions if a.controllable and alive[a.dst])
+    seeds = [i for i, s in enumerate(states) if s.bad or not count[i]]
+    lost = _attractor(preds, count, seeds)
+    winning = {s.key for i, s in enumerate(states) if lost[i] is None}
+    kept = {s.key: tuple(a.label for a in s.actions
+                         if a.controllable and lost[a.dst] is None)
+            for i, s in enumerate(states)
+            if lost[i] is None and s.turn == AGENT_TURN}
     return Controller(winning, kept)
 
 
@@ -271,9 +306,9 @@ def solve_reach(game, within=None):
     so following them reaches the target within `rank(initial)` moves
     under every environment branch.
 
-    One backward breadth-first pass from the targets, O(|V|+|E|): an
-    agent-turn state is ranked by its first ranked successor, an
-    env-turn state once its count of unranked successors reaches zero.
+    The agent's attractor to the targets: an agent-turn state is ranked
+    by its first ranked successor, an env-turn state once all its
+    successors are.
     """
     states = game.states
 
@@ -284,30 +319,19 @@ def solve_reach(game, within=None):
                 if a.controllable and (kept is None or a.label in kept)]
 
     preds = [[] for _ in states]
-    # agent turn: 1, so that its first ranked successor ranks it;
-    # env turn: successors not yet ranked
     count = [0] * len(states)
-    rank = [None] * len(states)
-    queue = deque()
+    seeds = []
     for i, s in enumerate(states):
         if within is not None and s.key not in within.winning:
             continue
         if s.target:
-            rank[i] = 0
-            queue.append(i)
+            seeds.append(i)
         else:
             succs = usable(s) if s.turn == AGENT_TURN else s.actions
             count[i] = 1 if s.turn == AGENT_TURN else len(succs)
             for a in succs:
                 preds[a.dst].append(i)
-    while queue:
-        d = queue.popleft()
-        for p in preds[d]:
-            if rank[p] is None:
-                count[p] -= 1
-                if not count[p]:
-                    rank[p] = rank[d] + 1
-                    queue.append(p)
+    rank = _attractor(preds, count, seeds)
     ranks = {s.key: rank[i] for i, s in enumerate(states) if rank[i] is not None}
     kept = {s.key: tuple(a.label for a in usable(s)
                          if rank[a.dst] is not None and rank[a.dst] < rank[i])
@@ -382,16 +406,16 @@ def compose_environments(external, internal, max_states=100000):
                         seen.add(j)
                         queue.append(j)
         else:
-            moves = []
+            branches = []
             for a1 in p1.actions:
                 if a1.label != PASS:
-                    moves.append((f"{a1.label}|.", external.states[a1.dst].world, w2))
+                    branches.append((f"{a1.label}|.", external.states[a1.dst].world, w2))
             for a2 in p2.actions:
                 if a2.label != PASS:
-                    moves.append((f".|{a2.label}", w1, internal.states[a2.dst].world))
-            if not moves:
-                moves = [(PASS, w1, w2)]
-            for label, d1, d2 in moves:
+                    branches.append((f".|{a2.label}", w1, internal.states[a2.dst].world))
+            if not branches:
+                branches = [(PASS, w1, w2)]
+            for label, d1, d2 in branches:
                 j, _ = intern(d1, d2, AGENT_TURN)
                 game.add_action(i, label, j, False)
                 if j not in seen:
@@ -506,18 +530,11 @@ def plan_horizon(cfg, ego, goals, horizon):
             return res
         if cands is None:
             cands = step_candidates(c)
-        options = [(x.label, x) for x in cands if x.is_controllable(ego)]
         best_val = None
         best_node = None
-        for label, cand in options + [(IDLE, None)]:
-            if cand is None:
-                ok, val, node = env_step(c, depth, reached, clean, cands)
-            else:
-                try:
-                    nxt = cand.fire()[0]
-                except EffectError:
-                    continue
-                ok, val, node = env_step(nxt, depth, reached, clean)
+        for label, nxt in moves(c, cands, ego, AGENT_TURN):
+            ok, val, node = env_step(nxt, depth, reached, clean,
+                                     cands if nxt is c else None)
             if not ok:
                 continue
             if best_val is None or val > best_val:
@@ -538,22 +555,14 @@ def plan_horizon(cfg, ego, goals, horizon):
         reached, clean = update_flags(c, reached, clean)
         if cands is None:
             cands = step_candidates(c)
-        branches = []
-        for x in cands:
-            if x.is_controllable(ego):
-                continue
-            try:
-                branches.append((x.label, x.fire()[0], None))
-            except EffectError:
-                continue
-        branches = branches or [(PASS, c, cands)]
         children = []
         worst = None
-        for label, nxt, nxt_cands in branches:
+        for label, nxt in moves(c, cands, ego, ENV_TURN):
             if violated(nxt):
                 return (False, None, None)
             r2, c2 = update_flags(nxt, reached, clean)
-            ok, val, node = agent_step(nxt, depth + 1, r2, c2, nxt_cands)
+            ok, val, node = agent_step(nxt, depth + 1, r2, c2,
+                                       cands if nxt is c else None)
             if not ok:
                 return (False, None, None)
             children.append((label, node))

@@ -19,10 +19,10 @@ class Goal:
     """
 
     __slots__ = ("name", "kind", "predicate", "utility", "criticality",
-                 "priority", "horizon", "order", "_pred_c", "_util_c")
+                 "priority", "order", "_pred_c", "_util_c")
 
     def __init__(self, name, kind, predicate=None, utility=None,
-                 criticality=BEST_EFFORT, priority=0, horizon=None, order=0):
+                 criticality=BEST_EFFORT, priority=0, order=0):
         if kind not in (AVOID, REACH, UTILITY):
             raise ValueError(f"bad goal kind {kind!r}")
         if criticality not in (CRITICAL, BEST_EFFORT):
@@ -39,7 +39,6 @@ class Goal:
         self.utility = utility
         self.criticality = criticality
         self.priority = priority
-        self.horizon = horizon
         self.order = order
         self._pred_c = None
         self._util_c = None

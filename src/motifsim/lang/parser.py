@@ -7,6 +7,7 @@ nonempty diagnostic list, never a crash or a partial model.
 import re
 from fractions import Fraction
 
+from ..agents import DEFAULT_THRESHOLDS
 from ..expr import (
     AddrRef, Binary, Distance, Empty, Expr, Lit, Member, Placed, Succ, Sym,
     Unary, VarRef,
@@ -698,19 +699,14 @@ class Parser:
         self.expect("(")
         expr = self.expr()
         self.expect(")")
-        horizon = None
         priority = 0
-        if self.at_kw("horizon"):
-            self.next()
-            horizon = self.number(integer=True)
         if self.at_kw("priority"):
             self.next()
             priority = self.number(integer=True)
         self.expect(";")
         if crit == "critical" and kind == "utility":
             self.fail("critical goals must be avoid or reach")
-        return GoalDef(name, crit, kind, expr, priority, horizon,
-                       pos=(pos.line, pos.col))
+        return GoalDef(name, crit, kind, expr, priority, pos=(pos.line, pos.col))
 
     # -- agents -------------------------------------------------------------
 
@@ -751,8 +747,7 @@ class Parser:
                 self.expect("{")
                 while not self.at("}"):
                     key = self.ident("threshold name")
-                    if key not in ("alpha", "theta_hi", "theta_lo", "k_stale",
-                                   "horizon_cap"):
+                    if key not in DEFAULT_THRESHOLDS:
                         self.fail(f"unknown threshold {key!r}")
                     thresholds[key] = self.number()
                     self.expect(";")

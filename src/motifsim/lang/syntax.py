@@ -8,6 +8,7 @@ agent tables the simulator consumes.
 
 from fractions import Fraction
 
+from ..agents import DEFAULT_THRESHOLDS
 from ..expr import fmt_num
 from ..goals import Goal
 from ..model import (
@@ -255,31 +256,26 @@ class CompDef:
 
 
 class GoalDef:
-    def __init__(self, name, criticality, kind, expr, priority=0, horizon=None,
-                 pos=None):
+    def __init__(self, name, criticality, kind, expr, priority=0, pos=None):
         self.name = name
         self.criticality = criticality
         self.kind = kind
         self.expr = expr
         self.priority = priority
-        self.horizon = horizon
         self.pos = pos
 
     def unparse(self):
-        s = f"goal {self.name} {self.criticality} {self.kind} ({self.expr.unparse()})"
-        if self.horizon is not None:
-            s += f" horizon {self.horizon}"
-        s += f" priority {self.priority};"
-        return s
+        return (f"goal {self.name} {self.criticality} {self.kind}"
+                f" ({self.expr.unparse()}) priority {self.priority};")
 
     def build(self, order):
         if self.kind == "utility":
             return Goal(self.name, self.kind, utility=self.expr,
                         criticality=self.criticality, priority=self.priority,
-                        horizon=self.horizon, order=order)
+                        order=order)
         return Goal(self.name, self.kind, predicate=self.expr,
                     criticality=self.criticality, priority=self.priority,
-                    horizon=self.horizon, order=order)
+                    order=order)
 
 
 class SensorDef:
@@ -311,9 +307,6 @@ class SensorDef:
         return "\n".join(lines)
 
 
-_THRESHOLD_KEYS = ("alpha", "theta_hi", "theta_lo", "k_stale", "horizon_cap")
-
-
 class AgentDef:
     def __init__(self, ego, sensor=None, goals=(), horizon=3, recovery=None,
                  patterns=(), thresholds=None, pos=None):
@@ -339,7 +332,7 @@ class AgentDef:
             lines.append(f"  pattern {p};")
         if self.thresholds:
             body = " ".join(f"{k} {fmt_num(self.thresholds[k])};"
-                            for k in _THRESHOLD_KEYS if k in self.thresholds)
+                            for k in DEFAULT_THRESHOLDS if k in self.thresholds)
             lines.append("  thresholds { %s }" % body)
         lines.append("}")
         return "\n".join(lines)

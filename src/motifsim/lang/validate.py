@@ -8,34 +8,30 @@ from ..expr import (
     AddrRef, Binary, Distance, Empty, Lit, Member, Placed, Succ, Sym, Unary,
     VarRef,
 )
-from ..model import BoolDomain, EnumDomain
+from ..model import EnumDomain
 from ..rules import (
     Assign, Create, Delete, Exchange, Join, Leave, MapEdit, MigrateEffect,
     Move,
 )
 from ..rules import CONFIG, INTERACTION
+from .parser import ERROR, WARNING, Diagnostic
 from .syntax import (
     AgentDef, CompDef, GoalDef, MotifDef, ScenarioDef, TypeDef,
 )
 
-ERROR = "error"
-WARNING = "warning"
-
 
 class _Resolver:
     def __init__(self, model):
-        from .parser import Diagnostic
         self.model = model
         self.diags = []
-        self._mk = Diagnostic
 
     def error(self, pos, message):
         line, col = pos or (0, 0)
-        self.diags.append(self._mk(ERROR, line, col, message))
+        self.diags.append(Diagnostic(ERROR, line, col, message))
 
     def warn(self, pos, message):
         line, col = pos or (0, 0)
-        self.diags.append(self._mk(WARNING, line, col, message))
+        self.diags.append(Diagnostic(WARNING, line, col, message))
 
     # -- entry --------------------------------------------------------------
 
@@ -284,10 +280,7 @@ class _Resolver:
                 self.error(c.pos,
                            f"component {c.id!r}: type {c.type!r} has no var {v!r}")
                 continue
-            dom = vars[v]
-            ok = dom.contains(value) if not isinstance(dom, BoolDomain) \
-                else isinstance(value, bool)
-            if not ok:
+            if not vars[v].contains(value):
                 self.error(c.pos,
                            f"component {c.id!r}: value {value!r} outside the"
                            f" domain of {v!r}")
@@ -305,8 +298,6 @@ class _Resolver:
 
     def check_goal(self, g):
         self.check_expr(g.expr, {}, g.pos, f"goal {g.name!r}")
-        if g.horizon is not None and g.horizon < 1:
-            self.error(g.pos, f"goal {g.name!r}: horizon must be positive")
 
     def check_agent(self, a):
         where = f"agent {a.ego!r}"

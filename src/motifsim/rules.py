@@ -546,8 +546,9 @@ def step_candidates(cfg):
     """Every enabled rule, controller-transition and dynamics instance.
 
     Deterministic order: motif id, rule declaration order, lexicographic
-    binding; per motif, declared rules come first, then controller
-    transitions (by agent id), then object dynamics (by object id).
+    binding; per motif, declared rules come first, then each member's
+    own rules by member id: an agent's controller transitions (owned by
+    it), an object's dynamics (owned by no one).
     """
     cands = []
     for mid in sorted(cfg.motifs):
@@ -561,16 +562,12 @@ def step_candidates(cfg):
             comp = cfg.components.get(cid)
             if comp is None:
                 continue
-            if comp.type.kind == AGENT and comp.type.controller is not None:
-                for rule in comp.type.controller.transitions:
-                    for binding in enabled_bindings(
-                            cfg, mid, rule, fixed={"self": cid}):
-                        cands.append(Candidate(
-                            cfg, mid, rule, binding, frozenset([cid]), CONTROLLER))
-            elif comp.type.dynamics:
-                for rule in comp.type.dynamics:
-                    for binding in enabled_bindings(
-                            cfg, mid, rule, fixed={"self": cid}):
-                        cands.append(Candidate(
-                            cfg, mid, rule, binding, frozenset(), DYNAMICS))
+            ctrl = comp.type.controller if comp.type.kind == AGENT else None
+            if ctrl is not None:
+                own, kind, owners = ctrl.transitions, CONTROLLER, frozenset([cid])
+            else:
+                own, kind, owners = comp.type.dynamics, DYNAMICS, frozenset()
+            for rule in own:
+                for binding in enabled_bindings(cfg, mid, rule, fixed={"self": cid}):
+                    cands.append(Candidate(cfg, mid, rule, binding, owners, kind))
     return cands

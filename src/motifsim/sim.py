@@ -22,6 +22,7 @@ import random
 from .agents import AgentRuntime, SensorSpec
 from .errors import EffectError, EngineError, ReplayDivergence
 from .expr import Ctx, UnboundParam
+from .games import IDLE
 from .rules import CONTROLLER, step_candidates
 
 
@@ -159,14 +160,12 @@ class World:
                 chosen.append(label)
         steered = []
         for ego, ctrl in self.tables.items():
-            key = self.cfg.state_hash() + ":a"
-            if not ctrl.covers(key):
+            cmd = ctrl.command(self.cfg)
+            if cmd is None:
                 continue  # coverage gap: leave the ego's own moves free
             steered.append(ego)
-            for lab in ctrl.kept_actions(key):
-                if lab != "idle":
-                    chosen.append(lab)
-                    break
+            if cmd != IDLE:
+                chosen.append(cmd)
 
         p1, p2, p3 = self._pools(chosen, steered)
         pool = p1 or p2 or p3
@@ -263,8 +262,11 @@ def run(system, steps=None, seed=None, policy=None, controllers=None):
 def replay(system, trace_text):
     """Re-apply a trace's events; returns the final configuration.
 
-    Raises `ReplayDivergence` at the first event whose rule instance is
-    not enabled or whose post-state hash differs from the recording.
+    Every event but a stutter (no rule) names a rule instance, which must
+    be enabled and is fired: its effect must fail with exactly the
+    recorded `error`, or succeed when none is recorded.  Raises
+    `ReplayDivergence` at the first event where this does not hold or
+    whose post-state hash differs from the recording.
     """
     lines = [ln for ln in trace_text.splitlines() if ln.strip()]
     if not lines:
@@ -276,20 +278,25 @@ def replay(system, trace_text):
     for ln in lines[1:]:
         e = json.loads(ln)
         step = e["step"]
-        if e.get("rule") is None or e.get("error"):
-            if cfg.state_hash() != e["post"]:
-                raise ReplayDivergence(f"state mismatch at step {step}", step=step)
-            continue
-        cand = None
-        for c in step_candidates(cfg):
-            if c.motif == e["motif"] and c.rule.name == e["rule"] \
-                    and dict(c.binding) == e["binding"]:
-                cand = c
-                break
-        if cand is None:
-            raise ReplayDivergence(
-                f"recorded event not enabled at step {step}", step=step)
-        cfg, ev = cand.fire()
-        if ev.post_hash != e["post"]:
+        if e.get("rule") is not None:
+            cand = None
+            for c in step_candidates(cfg):
+                if c.motif == e["motif"] and c.rule.name == e["rule"] \
+                        and dict(c.binding) == e["binding"]:
+                    cand = c
+                    break
+            if cand is None:
+                raise ReplayDivergence(
+                    f"recorded event not enabled at step {step}", step=step)
+            error = None
+            try:
+                cfg = cand.fire()[0]
+            except EffectError as exc:
+                error = str(exc)
+            if error != e.get("error"):
+                raise ReplayDivergence(
+                    f"effect outcome differs from the recording at step {step}",
+                    step=step)
+        if cfg.state_hash() != e["post"]:
             raise ReplayDivergence(f"state mismatch at step {step}", step=step)
     return cfg

@@ -5,7 +5,7 @@ import pytest
 from motifsim import games, sim
 from motifsim.errors import InvariantViolation, NoSafePlan, StateBudgetExceeded
 from motifsim.games import (
-    AGENT_TURN, ENV_TURN, GameModel, IDLE, PASS, compose_environments,
+    AGENT_TURN, ENV_TURN, Controller, GameModel, IDLE, PASS, compose_environments,
     export_controller, ground, import_controller, plan_horizon, solve_reach,
     solve_safety,
 )
@@ -227,6 +227,38 @@ def test_ground_unknown_ego():
     system = _thermostat_system()
     with pytest.raises(KeyError):
         ground(system.cfg, "nobody")
+
+
+# -- moves ---------------------------------------------------------------------
+
+
+def test_moves_split_one_listing_by_turn():
+    # at 18.0 with the heater off, the heater may switch on and the room
+    # cools; at 17.0 nothing but the heater moves
+    model, diags = parse(THERMOSTAT.replace("temp = 20.0", "temp = 18.0"))
+    assert model is not None, diags
+    cfg = model.build().cfg
+    cands = games.step_candidates(cfg)
+    agent = games.moves(cfg, cands, "h1", AGENT_TURN)
+    env = games.moves(cfg, cands, "h1", ENV_TURN)
+    assert [lab for lab, _ in agent] == ["house/off_to_on_0[self=h1]", IDLE]
+    assert [lab for lab, _ in env] == ["house/cool[self=room,h=h1]"]
+    assert agent[-1][1] is cfg
+    assert [nxt for _, nxt in agent[:1] + env] == [c.fire()[0] for c in cands]
+    cool = env[0][1]
+    cold = games.moves(cool, games.step_candidates(cool), "h1", ENV_TURN)[0][1]
+    assert games.moves(cold, games.step_candidates(cold), "h1", ENV_TURN) == [
+        (PASS, cold)]
+
+
+def test_controller_command():
+    system = _thermostat_system()
+    game = ground(system.cfg, "h1", bad=system.goals["band"].holds)
+    ctrl = solve_safety(game)
+    kept = ctrl.kept_actions(game.states[game.initial].key)
+    assert kept[-1] == IDLE
+    assert ctrl.command(system.cfg) == kept[0]
+    assert Controller(set(), {}).command(system.cfg) is None
 
 
 # -- simulator against grounding ---------------------------------------------

@@ -204,6 +204,31 @@ goal g critical utility (c.x);
     assert any("critical" in d.message for d in msgs)
 
 
+def test_goal_horizon_clause_is_rejected():
+    msgs = _errs("""\
+type t object {
+  var x: int[0, 3];
+}
+
+component c: t;
+
+goal g critical avoid (c.x = 3) horizon 1 priority 0;
+""")
+    assert msgs[0].line == 7
+
+
+def test_agent_thresholds_print_in_a_fixed_order():
+    text = THERMOSTAT_DELIBERATIVE.replace(
+        "  horizon 3;\n", "  horizon 3;\n  thresholds { k_stale 4; alpha 0.5;"
+        " horizon_cap 5; theta_lo 0.5; theta_hi 2; }\n")
+    printed = print_model(_ok(text))
+    assert ("  thresholds { alpha 0.5; theta_hi 2; theta_lo 0.5; k_stale 4;"
+            " horizon_cap 5; }\n") in printed
+    assert print_model(_ok(printed)) == printed
+    msgs = _errs(text.replace("k_stale 4;", "k_stale 4; beta 1;"))
+    assert "unknown threshold 'beta'" in msgs[0].message
+
+
 def test_duplicate_declaration():
     msgs = _errs("""\
 type t object {

@@ -4,7 +4,7 @@ import pytest
 
 from motifsim import sim
 from motifsim.errors import ReplayDivergence
-from motifsim.games import ground
+from motifsim.games import IDLE, Controller, ground
 from motifsim.lang import parse
 from motifsim.scenarios import PLATOON, SHUTTLE, SOCCER, THERMOSTAT
 
@@ -105,11 +105,67 @@ def test_replay_rejects_other_models():
         sim.replay(_system(SHUTTLE), "")
 
 
+def _forge(trace, i, **fields):
+    """`trace`'s text with event `i` updated by `fields` (None deletes)."""
+    lines = trace.text().splitlines()
+    e = json.loads(lines[i + 1])
+    e.update(fields)
+    lines[i + 1] = json.dumps({k: v for k, v in e.items() if v is not None},
+                              sort_keys=True)
+    return "\n".join(lines)
+
+
+def test_replay_checks_the_rule_of_an_error_event():
+    # an error event keeps the state, so its post hash alone proves
+    # nothing: the recorded rule instance must be enabled and must fail
+    system = _system(SHUTTLE)
+    trace = sim.run(system, steps=3)
+    forged = _forge(trace, 0, motif="nowhere", rule="bogus", binding={},
+                    error="x", post=system.cfg.state_hash())
+    with pytest.raises(ReplayDivergence, match="not enabled") as exc:
+        sim.replay(_system(SHUTTLE), forged)
+    assert exc.value.step == 0
+
+
+def test_replay_checks_the_recorded_error():
+    system = _system(SHUTTLE)
+    trace = sim.run(system, steps=3)
+    # an enabled command that fires cannot be recorded as failed
+    forged = _forge(trace, 1, error="x", post=trace.events[0]["post"])
+    with pytest.raises(ReplayDivergence, match="differs") as exc:
+        sim.replay(_system(SHUTTLE), forged)
+    assert exc.value.step == 1
+    loner = sim.run(_system(LONER), steps=3)
+    # a failing command cannot be recorded as fired, nor with another error
+    for error in (None, "x"):
+        with pytest.raises(ReplayDivergence, match="differs") as exc:
+            sim.replay(_system(LONER), _forge(loner, 2, error=error))
+        assert exc.value.step == 2
+
+
 def test_replay_header_only_returns_initial():
     system = _system(SHUTTLE)
     trace = sim.run(system, steps=0)
     final = sim.replay(_system(SHUTTLE), trace.text())
     assert final.state_hash() == system.cfg.state_hash()
+
+
+# -- controller tables -------------------------------------------------------
+
+
+@pytest.mark.parametrize("kept, rule", [
+    (("house/off_to_on_0[self=h1]", IDLE), "off_to_on_0"),
+    ((IDLE, "house/off_to_on_0[self=h1]"), "cool"),
+    ((), "cool"),
+])
+def test_table_driven_ego_plays_its_first_kept_action(kept, rule):
+    # at 18.0 with the heater off, its switch and the room's cooling are
+    # both enabled; a steered heater idles unless the table says switch
+    system = _system(THERMOSTAT.replace("temp = 20.0", "temp = 18.0"))
+    key = system.cfg.state_hash() + ":a"
+    ctrl = Controller({key}, {key: kept})
+    world = sim.World(system, seed=0, controllers={"h1": (frozenset(), ctrl)})
+    assert world.advance()["rule"] == rule
 
 
 # -- policies ----------------------------------------------------------------
@@ -227,6 +283,8 @@ def test_effect_on_unbound_optional_is_an_error_event():
     # no deliberative participant: uncontrollable, failed or not
     assert all(e["unc"] is True for e in trace.events)
     assert trace.final.state_hash() == system.cfg.state_hash()
+    final = sim.replay(_system(LONER), trace.text())
+    assert final.state_hash() == system.cfg.state_hash()
     game = ground(system.cfg, "c1")
     assert [a.label for s in game.states for a in s.actions] == ["idle", "pass"]
 
