@@ -40,6 +40,8 @@ class SensorSpec:
                  noise=None, detect=Fraction(1)):
         if not (0 <= detect <= 1):
             raise ValueError("detect probability outside [0, 1]")
+        if radius != "inf" and radius < 0:
+            raise ValueError("sensor radius must be nonnegative")
         self.motif = motif
         self.radius = radius
         self.visible = dict(visible or {})

@@ -174,7 +174,7 @@ def moves(cfg, cands, ego, turn):
     for cand in cands:
         if cand.is_controllable(ego) == agent:
             try:
-                out.append((cand.label, cand.fire()[0]))
+                out.append((cand.label, cand.fire()))
             except EffectError:
                 pass
     if agent:
@@ -371,7 +371,7 @@ def compose_environments(external, internal, max_states=100000):
         world = (w1, w2)
         i = game.by_world.get((world, turn))
         if i is not None:
-            return i, False
+            return i
         if len(game.states) + 1 > max_states:
             raise StateBudgetExceeded(
                 f"product state budget {max_states} exceeded", frontier=len(queue) + 1)
@@ -381,13 +381,11 @@ def compose_environments(external, internal, max_states=100000):
         i = game.add_state(key, world, turn,
                            bad=p1.bad or p2.bad,
                            target=p1.target and p2.target)
-        return i, True
+        queue.append(i)
+        return i
 
     queue = deque()
-    i0, _ = intern(s1.world, s2.world, s1.turn)
-    game.initial = i0
-    queue.append(i0)
-    seen = {i0}
+    game.initial = intern(s1.world, s2.world, s1.turn)
 
     while queue:
         i = queue.popleft()
@@ -400,11 +398,8 @@ def compose_environments(external, internal, max_states=100000):
                 d1 = external.states[a1.dst].world
                 for a2 in p2.actions:
                     d2 = internal.states[a2.dst].world
-                    j, _ = intern(d1, d2, ENV_TURN)
-                    game.add_action(i, f"{a1.label}|{a2.label}", j, True)
-                    if j not in seen:
-                        seen.add(j)
-                        queue.append(j)
+                    game.add_action(i, f"{a1.label}|{a2.label}",
+                                    intern(d1, d2, ENV_TURN), True)
         else:
             branches = []
             for a1 in p1.actions:
@@ -416,11 +411,7 @@ def compose_environments(external, internal, max_states=100000):
             if not branches:
                 branches = [(PASS, w1, w2)]
             for label, d1, d2 in branches:
-                j, _ = intern(d1, d2, AGENT_TURN)
-                game.add_action(i, label, j, False)
-                if j not in seen:
-                    seen.add(j)
-                    queue.append(j)
+                game.add_action(i, label, intern(d1, d2, AGENT_TURN), False)
     return game
 
 

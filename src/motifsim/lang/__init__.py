@@ -1,7 +1,7 @@
 """Textual modeling language: parser, resolver, canonical printer."""
 
-from .parser import Diagnostic, ParseError, parse
-from .syntax import Model, System, print_model
+from .parser import parse
+from .syntax import Diagnostic, Model, ParseError, System, print_model
 from .validate import resolve
 
 __all__ = ["Diagnostic", "ParseError", "Model", "System", "parse",

@@ -9,8 +9,8 @@ from fractions import Fraction
 
 from ..agents import DEFAULT_THRESHOLDS
 from ..expr import (
-    AddrRef, Binary, Distance, Empty, Expr, Lit, Member, Placed, Succ, Sym,
-    Unary, VarRef,
+    AddrRef, Binary, Distance, Empty, Lit, Member, Placed, Succ, Sym, Unary,
+    VarRef,
 )
 from ..model import BoolDomain, EnumDomain, IntRange, RealRange, VarDecl
 from ..rules import (
@@ -19,35 +19,10 @@ from ..rules import (
 )
 from ..rules import CONFIG, DYNAMICS, INTERACTION
 from .syntax import (
-    AgentDef, CheckDef, CompDef, CtrlDef, GoalDef, MapSpecDef, Model,
-    MotifDef, RuleDef, ScenarioDef, SensorDef, TransDef, TypeDef,
+    ERROR, AgentDef, CheckDef, CompDef, CtrlDef, Diagnostic, GoalDef,
+    MapSpecDef, Model, MotifDef, ParseError, RuleDef, ScenarioDef, SensorDef,
+    TransDef, TypeDef,
 )
-
-ERROR = "error"
-WARNING = "warning"
-
-
-class Diagnostic:
-    __slots__ = ("severity", "line", "col", "message")
-
-    def __init__(self, severity, line, col, message):
-        self.severity = severity
-        self.line = line
-        self.col = col
-        self.message = message
-
-    def __str__(self):
-        return f"{self.severity}: {self.line}:{self.col}: {self.message}"
-
-    def __repr__(self):
-        return f"<diagnostic {self}>"
-
-
-class ParseError(Exception):
-    def __init__(self, line, col, message):
-        super().__init__(message)
-        self.diag = Diagnostic(ERROR, line, col, message)
-
 
 _TOKEN_RE = re.compile(
     r"""
@@ -55,7 +30,7 @@ _TOKEN_RE = re.compile(
   | (?P<comment>\#[^\n]*)
   | (?P<number>\d+\.\d+|\d+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op>:=|->|!=|<=|>=|[{}()\[\],;:.@=<>+\-*?])
+  | (?P<op>:=|->|!=|<=|>=|[{}()\[\],;:.@=<>+\-*?/])
     """,
     re.VERBOSE,
 )
@@ -294,8 +269,6 @@ class Parser:
             transitions.append(TransDef(frm, to, params, guard, effects,
                                         pos=(pos.line, pos.col)))
         self.expect("}")
-        if init not in modes:
-            self.fail(f"initial mode {init!r} is not declared")
         return CtrlDef(modes, init, transitions)
 
     # -- rules --------------------------------------------------------------
@@ -704,8 +677,6 @@ class Parser:
             self.next()
             priority = self.number(integer=True)
         self.expect(";")
-        if crit == "critical" and kind == "utility":
-            self.fail("critical goals must be avoid or reach")
         return GoalDef(name, crit, kind, expr, priority, pos=(pos.line, pos.col))
 
     # -- agents -------------------------------------------------------------
@@ -840,7 +811,11 @@ class Parser:
                     self.expect("(")
                     script = []
                     while not self.at(")"):
-                        script.append(self.ident("rule name"))
+                        name = self.ident("rule name")
+                        if self.at("/"):  # <motif>/<rule>
+                            self.next()
+                            name += "/" + self.ident("rule name")
+                        script.append(name)
                         if self.at(","):
                             self.next()
                     self.expect(")")
@@ -869,10 +844,10 @@ class Parser:
 
 
 def parse(text):
-    """Parse model text.
+    """Parse model text, resolve its names and build it once.
 
     Returns `(model, diagnostics)`; `model` is None iff there is at least
-    one error diagnostic.
+    one error diagnostic, and a returned model builds.
     """
     from .validate import resolve
     try:

@@ -2,13 +2,18 @@
 
 A parsed model keeps its declarations in source order; `print_model`
 emits the canonical text (parse -> print -> parse is a fixpoint) and
-`Model.build` instantiates the initial configuration plus the goal and
-agent tables the simulator consumes.
+`Model.build` instantiates the initial configuration plus the goal,
+sensor and agent tables the simulator consumes.  Building is the one
+check of a model's values and structure: the engine's constructors
+reject what has no meaning, and `_at` turns that rejection into an error
+at the declaration's position.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
 
-from ..agents import DEFAULT_THRESHOLDS
+from ..agents import DEFAULT_THRESHOLDS, SensorSpec
+from ..errors import EngineError
 from ..expr import fmt_num
 from ..goals import Goal
 from ..model import (
@@ -17,17 +22,53 @@ from ..model import (
     ComponentType,
     Configuration,
     ControllerSpec,
-    EnumDomain,
     IntRange,
     Map,
     Motif,
     RealRange,
-    VarDecl,
     grid_map,
     line_map,
     ring_map,
 )
 from ..rules import CONFIG, CONTROLLER, DYNAMICS, INTERACTION, Param, Rule
+
+ERROR = "error"
+
+
+class Diagnostic:
+    __slots__ = ("severity", "line", "col", "message")
+
+    def __init__(self, severity, line, col, message):
+        self.severity = severity
+        self.line = line
+        self.col = col
+        self.message = message
+
+    def __str__(self):
+        return f"{self.severity}: {self.line}:{self.col}: {self.message}"
+
+    def __repr__(self):
+        return f"<diagnostic {self}>"
+
+
+class ParseError(Exception):
+    """An error at a position of the model text: raised by the parser, and
+    by `Model.build` for a declaration the engine rejects."""
+
+    def __init__(self, line, col, message):
+        super().__init__(message)
+        self.diag = Diagnostic(ERROR, line, col, message)
+
+
+@contextmanager
+def _at(decl, where):
+    """Turn the engine's rejection of `decl` into a `ParseError` at its
+    position; anything else the engine raises is a bug and propagates."""
+    try:
+        yield
+    except (ValueError, EngineError) as e:
+        line, col = decl.pos or (0, 0)
+        raise ParseError(line, col, f"{where}: {e}") from e
 
 
 def _fmt_node(n):
@@ -229,10 +270,14 @@ class MotifDef:
         return "\n".join(lines)
 
     def build(self):
-        interaction = [r.to_rule() for r in self.rules if r.kind == INTERACTION]
-        config = [r.to_rule() for r in self.rules if r.kind == CONFIG]
-        return Motif(self.name, self.mapspec.build(),
-                     interaction_rules=interaction, configuration_rules=config)
+        rules = {INTERACTION: [], CONFIG: []}
+        for r in self.rules:
+            with _at(r, f"motif {self.name!r} rule {r.name!r}"):
+                rules[r.kind].append(r.to_rule())
+        with _at(self, f"motif {self.name!r}"):
+            return Motif(self.name, self.mapspec.build(),
+                         interaction_rules=rules[INTERACTION],
+                         configuration_rules=rules[CONFIG])
 
 
 class CompDef:
@@ -253,6 +298,18 @@ class CompDef:
             if node is not None:
                 s += f" at {_fmt_node(node)}"
         return s + ";"
+
+    def build(self, cfg):
+        """Add this component to `cfg`, with its members and addresses."""
+        cfg.components[self.id] = ComponentInstance(
+            self.id, cfg.types[self.type], dict(self.inits))
+        for motif, node in self.placements:
+            members = cfg.motifs[motif].members
+            if self.id in members:
+                raise ValueError(f"placed twice in {motif!r}")
+            members.add(self.id)
+            if node is not None:
+                cfg._place(self.id, motif, node)
 
 
 class GoalDef:
@@ -400,29 +457,71 @@ class Model:
             self.scenario = d
 
     def build(self):
-        """Instantiate the initial configuration and goal table."""
-        types = {name: t.build() for name, t in self.types.items()}
+        """Instantiate the initial configuration plus the goal, sensor and
+        agent tables.
+
+        This is the one check of a model's values and structure: the
+        first declaration the engine rejects raises `ParseError` at its
+        position, with the engine's message.
+        """
+        types = {}
+        for name, t in self.types.items():
+            with _at(t, f"type {name!r}"):
+                types[name] = t.build()
         motifs = [m.build() for m in self.motifs.values()]
-        comps = []
+        cfg = Configuration((), motifs, types)
         for cd in self.components.values():
-            comps.append(ComponentInstance(cd.id, types[cd.type], dict(cd.inits)))
-        cfg = Configuration(comps, motifs, types)
-        for cd in self.components.values():
-            for motif, node in cd.placements:
-                cfg.motifs[motif].members.add(cd.id)
-                if node is not None:
-                    cfg._place(cd.id, motif, node)
-        cfg.check()
-        goals = {name: g.build(i) for i, (name, g) in enumerate(self.goals.items())}
-        return System(cfg, goals, dict(self.agents), self.scenario, self)
+            with _at(cd, f"component {cd.id!r}"):
+                cd.build(cfg)
+        goals = {}
+        for i, (name, g) in enumerate(self.goals.items()):
+            with _at(g, f"goal {name!r}"):
+                goals[name] = g.build(i)
+        sensors = {}
+        for ego, ad in self.agents.items():
+            with _at(ad, f"agent {ego!r}"):
+                sensors[ego] = SensorSpec.from_def(ad.sensor, _home(cfg, ego))
+        sc = self.scenario
+        if sc is not None and sc.policy == "script":
+            known = _rule_names(cfg)
+            for name in sc.script:
+                if name not in known:
+                    line, col = sc.pos or (0, 0)
+                    raise ParseError(line, col,
+                                     f"scenario: unknown scripted rule {name!r}")
+        return System(cfg, goals, sensors, dict(self.agents), sc, self)
+
+
+def _home(cfg, ego):
+    """The motif an agent senses unless its sensor names one: the first
+    motif it is a member of, else the first motif."""
+    mids = sorted(cfg.motifs)
+    return next((m for m in mids if ego in cfg.motifs[m].members),
+                mids[0] if mids else None)
+
+
+def _rule_names(cfg):
+    """Every name the script scheduler matches: each motif rule, object
+    dynamics rule and controller transition, bare or as
+    ``<motif>/<name>``."""
+    own = {r.name for t in cfg.types.values() for r in t.dynamics
+           + (t.controller.transitions if t.controller is not None else [])}
+    names = set(own)
+    for mid, m in cfg.motifs.items():
+        for name in own.union(r.name for r in m.interaction_rules
+                              + m.configuration_rules):
+            names |= {name, f"{mid}/{name}"}
+    return names
 
 
 class System:
-    """A built model: initial configuration plus goal/agent tables."""
+    """A built model: initial configuration plus goal, sensor and agent
+    tables."""
 
-    def __init__(self, cfg, goals, agent_defs, scenario, model):
+    def __init__(self, cfg, goals, sensors, agent_defs, scenario, model):
         self.cfg = cfg
         self.goals = goals
+        self.sensors = sensors
         self.agent_defs = agent_defs
         self.scenario = scenario
         self.model = model

@@ -1,22 +1,21 @@
-"""Name and type resolution over a parsed model.
+"""Name resolution over a parsed model, then one build.
 
-`resolve` walks every declaration and returns a diagnostic list; a model
-with error diagnostics is rejected before anything is instantiated.
+`resolve` walks every declaration and checks its names and scopes; a
+model whose names resolve is then built, and `Model.build` is the one
+check of its values and structure.
 """
 
 from ..expr import (
     AddrRef, Binary, Distance, Empty, Lit, Member, Placed, Succ, Sym, Unary,
     VarRef,
 )
-from ..model import EnumDomain
 from ..rules import (
     Assign, Create, Delete, Exchange, Join, Leave, MapEdit, MigrateEffect,
     Move,
 )
-from ..rules import CONFIG, INTERACTION
-from .parser import ERROR, WARNING, Diagnostic
 from .syntax import (
-    AgentDef, CompDef, GoalDef, MotifDef, ScenarioDef, TypeDef,
+    ERROR, AgentDef, CompDef, Diagnostic, GoalDef, MotifDef,
+    ParseError, ScenarioDef, TypeDef,
 )
 
 
@@ -29,10 +28,6 @@ class _Resolver:
         line, col = pos or (0, 0)
         self.diags.append(Diagnostic(ERROR, line, col, message))
 
-    def warn(self, pos, message):
-        line, col = pos or (0, 0)
-        self.diags.append(Diagnostic(WARNING, line, col, message))
-
     # -- entry --------------------------------------------------------------
 
     def run(self):
@@ -42,12 +37,6 @@ class _Resolver:
             self.check_type(t)
         for mo in m.motifs.values():
             self.check_motif(mo)
-        self.maps = {}
-        for name, mo in m.motifs.items():
-            try:
-                self.maps[name] = mo.mapspec.build()
-            except Exception as e:
-                self.error(mo.pos, f"motif {name!r}: bad map: {e}")
         for c in m.components.values():
             self.check_component(c)
         for g in m.goals.values():
@@ -84,35 +73,21 @@ class _Resolver:
     # -- types --------------------------------------------------------------
 
     def type_vars(self, tname):
-        """Variable declarations of a type, including the controller mode."""
+        """Variable names of a type, including the controller mode."""
         t = self.model.types.get(tname)
         if t is None:
             return None
-        out = {v.name: v.domain for v in t.vardecls}
+        out = {v.name for v in t.vardecls}
         if t.controller is not None:
-            out["mode"] = EnumDomain(t.controller.modes)
+            out.add("mode")
         return out
 
     def check_type(self, t):
-        names = set()
-        for v in t.vardecls:
-            if v.name in names:
-                self.error(t.pos, f"type {t.name!r}: duplicate var {v.name!r}")
-            if v.name == "mode" and t.controller is not None:
-                self.error(t.pos,
-                           f"type {t.name!r}: var 'mode' is reserved for the controller")
-            names.add(v.name)
-        if t.kind == "object" and t.controller is not None:
-            self.error(t.pos, f"object type {t.name!r} cannot have a controller")
-        if t.kind == "agent" and t.dynamics:
-            self.error(t.pos, f"agent type {t.name!r} cannot have dynamics")
         for r in t.dynamics:
             self.check_rule(r, owner_type=t.name,
                             where=f"type {t.name!r} rule {r.name!r}")
         if t.controller is not None:
             modes = t.controller.modes
-            if len(set(modes)) != len(modes):
-                self.error(t.pos, f"type {t.name!r}: duplicate controller mode")
             for tr in t.controller.transitions:
                 where = f"type {t.name!r} transition {tr.frm}->{tr.to}"
                 for mode in (tr.frm, tr.to):
@@ -129,7 +104,6 @@ class _Resolver:
         if owner_type is not None:
             scope["self"] = owner_type
         seen = set()
-        n_required = 0
         for p in r.params:
             if p.name in seen or p.name in scope:
                 self.error(pos, f"{where}: duplicate parameter {p.name!r}")
@@ -138,18 +112,10 @@ class _Resolver:
                 self.error(pos, f"{where}: unknown type {p.type!r}")
                 continue
             scope[p.name] = p.type
-            if p.required:
-                n_required += 1
-        kind = getattr(r, "kind", None)
-        if kind in (INTERACTION, CONFIG) and r.params and n_required == 0:
-            self.error(pos, f"{where}: needs at least one required participant")
         if r.guard is not None:
             self.check_expr(r.guard, scope, pos, where)
         local = dict(scope)
         for e in r.effects:
-            if kind == INTERACTION and not isinstance(e, (Assign, Exchange)):
-                self.error(pos, f"{where}: interaction rules may only assign"
-                                " or exchange variables")
             self.check_effect(e, local, pos, where,
                               self_only=owner_type is not None)
 
@@ -270,29 +236,11 @@ class _Resolver:
     # -- components ---------------------------------------------------------
 
     def check_component(self, c):
-        t = self.model.types.get(c.type)
-        if t is None:
+        if c.type not in self.model.types:
             self.error(c.pos, f"component {c.id!r}: unknown type {c.type!r}")
-            return
-        vars = self.type_vars(c.type)
-        for v, value in c.inits:
-            if v not in vars:
-                self.error(c.pos,
-                           f"component {c.id!r}: type {c.type!r} has no var {v!r}")
-                continue
-            if not vars[v].contains(value):
-                self.error(c.pos,
-                           f"component {c.id!r}: value {value!r} outside the"
-                           f" domain of {v!r}")
-        for motif, node in c.placements:
+        for motif, _ in c.placements:
             if motif not in self.model.motifs:
                 self.error(c.pos, f"component {c.id!r}: unknown motif {motif!r}")
-                continue
-            m = self.maps.get(motif)
-            if node is not None and m is not None and node not in m.nodes:
-                self.error(c.pos,
-                           f"component {c.id!r}: node {node!r} is not on the"
-                           f" map of {motif!r}")
 
     # -- goals, agents, scenario --------------------------------------------
 
@@ -333,33 +281,30 @@ class _Resolver:
                 if attr not in vars:
                     self.error(a.pos,
                                f"{where}: type {tname!r} has no var {attr!r}")
-        for tname, var, sd in s.noise:
+        for tname, var, _ in s.noise:
             vars = self.type_vars(tname)
             if vars is None:
                 self.error(a.pos, f"{where}: unknown type {tname!r}")
             elif var not in vars:
                 self.error(a.pos, f"{where}: type {tname!r} has no var {var!r}")
-            if sd < 0:
-                self.error(a.pos, f"{where}: noise stdev must be nonnegative")
-        if not (0 <= s.detect <= 1):
-            self.error(a.pos, f"{where}: detect must be a probability")
 
     def check_scenario(self, sc):
         if sc.steps < 0:
             self.error(sc.pos, "scenario: steps must be nonnegative")
-        if sc.policy == "script":
-            known = set()
-            for mo in self.model.motifs.values():
-                for r in mo.rules:
-                    known.add(r.name)
-                    known.add(f"{mo.name}/{r.name}")
-            for name in sc.script:
-                if name not in known:
-                    self.error(sc.pos, f"scenario: unknown scripted rule {name!r}")
         for c in sc.checks:
             self.check_expr(c.expr, {}, sc.pos, f"check {c.name!r}")
 
 
 def resolve(model):
-    """Resolve names and types; returns a list of diagnostics."""
-    return _Resolver(model).run()
+    """Resolve names, then build the model once if they all resolve.
+
+    Returns a list of diagnostics; a declaration the engine rejects while
+    building is one error diagnostic at its position.
+    """
+    diags = _Resolver(model).run()
+    if not any(d.severity == ERROR for d in diags):
+        try:
+            model.build()
+        except ParseError as e:
+            diags.append(e.diag)
+    return diags

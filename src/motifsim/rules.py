@@ -66,16 +66,14 @@ class Assign(Effect):
         attr = self.attr
         fv = self.value.compile(params)
 
-        def run(ctx, rec):
+        def run(ctx):
             cid = get(ctx)
             v = fv(ctx)
             comp = ctx.cfg._touch_component(cid)
             decl = comp.type.vars.get(attr)
             if decl is None:
                 raise EffectError(f"type {comp.type.name!r} has no var {attr!r}")
-            old = comp.state[attr]
             comp.state[attr] = decl.domain.canon(v)
-            rec.append(("assign", cid, attr, old, comp.state[attr]))
         return run
 
 
@@ -94,7 +92,7 @@ class Exchange(Effect):
         g2 = _resolve_id(self.o2, params)
         a1, a2 = self.a1, self.a2
 
-        def run(ctx, rec):
+        def run(ctx):
             c1 = ctx.cfg._touch_component(g1(ctx))
             c2 = ctx.cfg._touch_component(g2(ctx))
             for c, a in ((c1, a1), (c2, a2)):
@@ -103,7 +101,6 @@ class Exchange(Effect):
             v1, v2 = c1.state[a1], c2.state[a2]
             c1.state[a1] = c1.type.vars[a1].domain.canon(v2)
             c2.state[a2] = c2.type.vars[a2].domain.canon(v1)
-            rec.append(("exchange", c1.id, a1, c2.id, a2))
         return run
 
 
@@ -123,15 +120,12 @@ class Move(Effect):
         get = _resolve_id(self.owner, params)
         fn = self.node.compile(params)
 
-        def run(ctx, rec):
+        def run(ctx):
             cid = get(ctx)
             n = fn(ctx)
             if n is UNDEF:
                 raise EffectError("move target is an undefined address")
-            mid = ctx.motif.id
-            old = ctx.cfg.addresses.get((cid, mid))
-            ctx.cfg._place(cid, mid, n)
-            rec.append(("move", cid, mid, old, n))
+            ctx.cfg._place(cid, ctx.motif.id, n)
         return run
 
 
@@ -163,7 +157,7 @@ class Create(Effect):
         fn = self.node.compile(params) if self.node is not None else None
         finits = [(v, e.compile(params)) for v, e in self.inits]
 
-        def run(ctx, rec):
+        def run(ctx):
             ctype = ctx.cfg.types.get(type_name)
             if ctype is None:
                 raise EffectError(f"unknown type {type_name!r}")
@@ -174,7 +168,6 @@ class Create(Effect):
             ctx.cfg.components[cid] = comp
             m = ctx.cfg._touch_motif(mid, copy_members=True)
             m.members.add(cid)
-            node = None
             if fn is not None:
                 node = fn(ctx)
                 if node is UNDEF:
@@ -182,7 +175,6 @@ class Create(Effect):
                 ctx.cfg._place(cid, mid, node)
             ctx.binding[name] = cid
             ctx.cfg._dirty()
-            rec.append(("create", cid, type_name, mid, node))
         return run
 
 
@@ -198,7 +190,7 @@ class Delete(Effect):
     def compile(self, params):
         get = _resolve_id(self.owner, params)
 
-        def run(ctx, rec):
+        def run(ctx):
             cid = get(ctx)
             if cid not in ctx.cfg.components:
                 raise EffectError(f"delete of nonexistent component {cid!r}")
@@ -210,7 +202,6 @@ class Delete(Effect):
             for key in [k for k in ctx.cfg.addresses if k[0] == cid]:
                 del ctx.cfg.addresses[key]
             ctx.cfg._dirty()
-            rec.append(("delete", cid))
         return run
 
 
@@ -228,13 +219,12 @@ class Join(Effect):
         get = _resolve_id(self.owner, params)
         motif = self.motif
 
-        def run(ctx, rec):
+        def run(ctx):
             cid = get(ctx)
             if motif not in ctx.cfg.motifs:
                 raise EffectError(f"unknown motif {motif!r}")
             m = ctx.cfg._touch_motif(motif, copy_members=True)
             m.members.add(cid)
-            rec.append(("join", cid, motif))
         return run
 
 
@@ -252,7 +242,7 @@ class Leave(Effect):
         get = _resolve_id(self.owner, params)
         motif = self.motif
 
-        def run(ctx, rec):
+        def run(ctx):
             cid = get(ctx)
             m = ctx.cfg.motifs.get(motif)
             if m is None:
@@ -262,7 +252,6 @@ class Leave(Effect):
             m2 = ctx.cfg._touch_motif(motif, copy_members=True)
             m2.members.discard(cid)
             ctx.cfg._unplace(cid, motif)
-            rec.append(("leave", cid, motif))
         return run
 
 
@@ -289,7 +278,7 @@ class MigrateEffect(Effect):
         src, dst = self.src, self.dst
         fn = self.node.compile(params) if self.node is not None else None
 
-        def run(ctx, rec):
+        def run(ctx):
             cid = get(ctx)
             node = None
             if fn is not None:
@@ -306,7 +295,6 @@ class MigrateEffect(Effect):
                 cfg._touch_motif(dst, copy_members=True).members.add(cid)
             if node is not None:
                 cfg._place(cid, dst, node)
-            rec.append(("migrate", cid, src, dst, node))
         return run
 
 
@@ -325,7 +313,7 @@ class MapEdit(Effect):
         op = self.op
         fargs = [a.compile(params) for a in self.args]
 
-        def run(ctx, rec):
+        def run(ctx):
             vals = [f(ctx) for f in fargs]
             if any(v is UNDEF for v in vals):
                 raise EffectError(f"{op} on an undefined address")
@@ -344,7 +332,6 @@ class MapEdit(Effect):
                 m.map.add_edge(vals[0], vals[1], w)
             else:
                 m.map.remove_edge(vals[0], vals[1])
-            rec.append((op, mid, tuple(vals)))
         return run
 
 
@@ -457,33 +444,18 @@ def enabled_bindings(cfg, motif_id, rule, fixed=None):
     return out
 
 
-class Event:
-    """One applied rule instance: the replayable trace atom."""
-
-    __slots__ = ("step", "motif", "rule", "binding", "effects", "post_hash")
-
-    def __init__(self, motif, rule, binding, effects, post_hash, step=None):
-        self.step = step
-        self.motif = motif
-        self.rule = rule
-        self.binding = binding
-        self.effects = effects
-        self.post_hash = post_hash
-
-
 def apply(cfg, motif_id, rule, binding):
     """Apply one enabled rule instance atomically.
 
-    Returns `(new_configuration, event)`.  On any failing effect the
-    original configuration is untouched and `EffectError` is raised.
+    Returns the new configuration.  On any failing effect the original
+    configuration is untouched and `EffectError` is raised.
     """
     clone = cfg.clone()
     motif = clone.motif(motif_id)
     ctx = Ctx(clone, motif, dict(binding))
-    rec = []
     try:
         for fe in rule.effect_fns():
-            fe(ctx, rec)
+            fe(ctx)
         clone.check()
     except EffectError:
         raise
@@ -491,8 +463,7 @@ def apply(cfg, motif_id, rule, binding):
         raise EffectError(str(exc)) from exc
     except UnboundParam as exc:
         raise EffectError(f"effect on unbound parameter {exc.args[0]!r}") from exc
-    event = Event(motif_id, rule.name, dict(binding), rec, clone.state_hash())
-    return clone, event
+    return clone
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +490,7 @@ class Candidate:
         self.label = f"{motif}/{rule.name}[{bind}]"
 
     def fire(self):
-        """`(successor, event)` of applying this instance to `source`.
+        """The successor of applying this instance to `source`.
 
         Computed once and kept; a failing effect is not kept and raises
         `EffectError` on every call.

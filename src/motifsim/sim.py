@@ -19,7 +19,7 @@ that must react is never outrun by the plant).
 import json
 import random
 
-from .agents import AgentRuntime, SensorSpec
+from .agents import AgentRuntime
 from .errors import EffectError, EngineError, ReplayDivergence
 from .expr import Ctx, UnboundParam
 from .games import IDLE
@@ -92,9 +92,8 @@ class World:
         self._cands = {}
         self.runtimes = {}
         for ego, ad in system.agent_defs.items():
-            spec = SensorSpec.from_def(ad.sensor, self._default_motif(ego))
             goals = [system.goals[n] for n in ad.goals if n in system.goals]
-            rt = AgentRuntime(ego, spec, goals,
+            rt = AgentRuntime(ego, system.sensors[ego], goals,
                               horizon=ad.horizon, recovery=ad.recovery,
                               thresholds=ad.thresholds, truth=self.cfg)
             rt.repo.patterns = list(ad.patterns)
@@ -111,12 +110,6 @@ class World:
                     # table-driven ego: no deliberation, just play the
                     # synthesized controller on the truth state
                     self.tables[ego] = ctrl
-
-    def _default_motif(self, ego):
-        for mid in sorted(self.system.cfg.motifs):
-            if ego in self.system.cfg.motifs[mid].members:
-                return mid
-        return next(iter(sorted(self.system.cfg.motifs)), None)
 
     # -- candidate pools ----------------------------------------------------
 
@@ -196,7 +189,7 @@ class World:
             unc = not (cand.controlled_by & set(self.runtimes)) \
                 and cand.kind != CONTROLLER
             try:
-                self.cfg = cand.fire()[0]
+                self.cfg = cand.fire()
             except EffectError as e:
                 # a command that fails to execute consumes the step
                 error = str(e)
@@ -290,7 +283,7 @@ def replay(system, trace_text):
                     f"recorded event not enabled at step {step}", step=step)
             error = None
             try:
-                cfg = cand.fire()[0]
+                cfg = cand.fire()
             except EffectError as exc:
                 error = str(exc)
             if error != e.get("error"):

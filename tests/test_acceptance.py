@@ -190,8 +190,8 @@ component c2: car { speed = 4; } in lane at 1;
 """)
     cfg = swap_model.cfg
     rule = cfg.motif("lane").interaction_rules[0]
-    once, _ = apply(cfg, "lane", rule, {"a": "c1", "b": "c2"})
-    twice, _ = apply(once, "lane", rule, {"a": "c1", "b": "c2"})
+    once = apply(cfg, "lane", rule, {"a": "c1", "b": "c2"})
+    twice = apply(once, "lane", rule, {"a": "c1", "b": "c2"})
     assert twice.state_hash() == cfg.state_hash()
 
     # mobility never doubles up a node over a 10^3-step run

@@ -131,7 +131,7 @@ def test_reflect_tracks_movement():
     spec = _road_spec()
     model = reflect(EnvModel.blank(cfg, "road"), perceive(cfg, "v1", spec))
     cand = next(c for c in step_candidates(cfg) if "advance[a=v4]" in c.label)
-    cfg2, _ = cand.fire()
+    cfg2 = cand.fire()
     model = reflect(model, perceive(cfg2, "v1", spec))
     assert model.cfg.address("v4", "road") == 7
 
@@ -142,7 +142,7 @@ def test_staleness_drops_vanished_components():
     model = reflect(EnvModel.blank(cfg, "road"), perceive(cfg, "v1", spec))
     assert "v2" in model.cfg.components
     drop = Rule("drop", CONFIG, [Param("a", "vehicle")], TRUE, [Delete("a")])
-    gone, _ = apply(cfg, "road", drop, {"a": "v2"})
+    gone = apply(cfg, "road", drop, {"a": "v2"})
     k = DEFAULT_THRESHOLDS["k_stale"]
     for i in range(k):
         assert "v2" in model.cfg.components  # still believed
@@ -170,7 +170,7 @@ def test_anonymous_association():
     hypos = sorted(model.cfg.components)
     assert hypos == ["vehicle?0", "vehicle?1", "vehicle?2", "vehicle?3"]
     cand = next(c for c in step_candidates(cfg) if "advance[a=v4]" in c.label)
-    cfg2, _ = cand.fire()
+    cfg2 = cand.fire()
     model2 = reflect(model, perceive(cfg2, "v1", spec))
     # the moved detection associates to the nearest tracked hypothesis
     assert sorted(model2.cfg.components) == hypos

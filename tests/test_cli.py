@@ -1,3 +1,4 @@
+import json
 import pathlib
 
 import pytest
@@ -20,6 +21,10 @@ def models(tmp_path):
     doomed = tmp_path / "doomed.motif"
     doomed.write_text(THERMOSTAT + "\ngoal doom critical avoid (true);\n")
     paths["doomed"] = str(doomed)
+    lonely = tmp_path / "lonely.motif"
+    lonely.write_text(THERMOSTAT.replace(
+        "  map line(2);\n", "  map line(2);\n  config rule grow then { addnode(5); }\n"))
+    paths["lonely"] = str(lonely)
     return paths
 
 
@@ -29,6 +34,26 @@ def test_check_exit_codes(models, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "nobody" in err
     assert main(["check", str(tmp_path / "missing.motif")]) == 2
+
+
+def test_unbuildable_model_fails_with_a_diagnostic(models, capsys):
+    expected = ("error: 19:10: motif 'house' rule 'grow': rule 'grow' needs at"
+                " least one required participant")
+    assert main(["check", models["lonely"]]) == 1
+    assert capsys.readouterr().err.strip() == expected
+    assert main(["simulate", models["lonely"]]) == 1
+    assert capsys.readouterr().err.strip() == expected
+
+
+def test_simulate_follows_a_scripted_scenario(tmp_path):
+    scripted = tmp_path / "scripted.motif"
+    script = ["cool", "cool", "cool", "cool", "off_to_on_0", "house/warm"]
+    scripted.write_text(THERMOSTAT.replace("steps 10000;", "steps 6;").replace(
+        "policy random;", f"policy script({', '.join(script)});"))
+    out = tmp_path / "trace.jsonl"
+    assert main(["simulate", str(scripted), "--trace", str(out)]) == 0
+    events = [json.loads(ln) for ln in out.read_text().splitlines()[1:]]
+    assert [e["rule"] for e in events] == [name.split("/")[-1] for name in script]
 
 
 def test_simulate_writes_a_trace(models, tmp_path, capsys):

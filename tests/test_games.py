@@ -244,7 +244,7 @@ def test_moves_split_one_listing_by_turn():
     assert [lab for lab, _ in agent] == ["house/off_to_on_0[self=h1]", IDLE]
     assert [lab for lab, _ in env] == ["house/cool[self=room,h=h1]"]
     assert agent[-1][1] is cfg
-    assert [nxt for _, nxt in agent[:1] + env] == [c.fire()[0] for c in cands]
+    assert [nxt for _, nxt in agent[:1] + env] == [c.fire() for c in cands]
     cool = env[0][1]
     cold = games.moves(cool, games.step_candidates(cool), "h1", ENV_TURN)[0][1]
     assert games.moves(cold, games.step_candidates(cold), "h1", ENV_TURN) == [

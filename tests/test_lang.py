@@ -1,6 +1,8 @@
 import random
 import string
 
+import pytest
+
 from motifsim.lang import parse, print_model
 from motifsim.scenarios import (
     PLATOON, SHUTTLE, SOCCER, THERMOSTAT, THERMOSTAT_DELIBERATIVE,
@@ -12,6 +14,7 @@ CORPUS = [THERMOSTAT, THERMOSTAT_DELIBERATIVE, PLATOON, SOCCER, SHUTTLE]
 def _ok(text):
     model, diags = parse(text)
     assert model is not None, diags
+    model.build()
     return model
 
 
@@ -249,6 +252,89 @@ type t object {
 }
 """)
     assert msgs
+
+
+# each model the engine rejects while building: the declaration's line and
+# a piece of the engine's message
+BASE = """\
+type t object {
+  var x: int[0, 3];
+}
+
+type a agent {
+}
+
+motif m {
+  map line(2);
+}
+
+"""
+
+REJECTED = [
+    pytest.param("type u object {\n  var y: bool;\n  var y: bool;\n}", 12,
+                 "duplicate var 'y'", id="duplicate-var"),
+    pytest.param("type u agent {\n  var mode: bool;\n  controller {\n"
+                 "    modes p, q init p;\n  }\n}", 12, "'mode' is reserved",
+                 id="reserved-mode"),
+    pytest.param("type u object {\n  controller {\n    modes p, q init p;\n"
+                 "  }\n}", 12, "objects have no controller", id="object-controller"),
+    pytest.param("type u agent {\n  dynamics {\n    rule r;\n  }\n}", 12,
+                 "agents have no internal dynamics", id="agent-dynamics"),
+    pytest.param("type u agent {\n  controller {\n    modes p, p init p;\n"
+                 "  }\n}", 12, "duplicate enumeration values", id="duplicate-mode"),
+    pytest.param("type u agent {\n  controller {\n    modes p, q init r;\n"
+                 "  }\n}", 12, "initial mode 'r' not declared", id="init-mode"),
+    pytest.param("motif n {\n  map line(2);\n  config rule grow then"
+                 " { addnode(5); }\n}", 14, "needs at least one required participant",
+                 id="rule-without-participants"),
+    pytest.param("motif n {\n  map line(2);\n  interaction rule hop for p: a then"
+                 " { @(p) := 1; }\n}", 14, "may only assign/exchange",
+                 id="interaction-moves"),
+    pytest.param("motif n {\n  map { nodes 0; edges 0 -> 1; };\n}", 12,
+                 "edge endpoint missing", id="map-edge"),
+    pytest.param("component c: t { y = 1; };", 12, "has no var 'y'", id="init-var"),
+    pytest.param("component c: t { x = 7; };", 12, "7 outside int[0, 3]",
+                 id="init-value"),
+    pytest.param("component c: t in m at 9;", 12, "no node 9 in motif 'm'",
+                 id="off-map"),
+    pytest.param("component c: t in m at 0 in m at 1;", 12, "placed twice in 'm'",
+                 id="placed-twice"),
+    pytest.param("goal g critical utility (1);", 12,
+                 "critical goals must be avoid or reach", id="critical-utility"),
+    pytest.param("component c: a in m;\n\nagent c {\n  sensor { detect 2; }\n}",
+                 14, "detect probability", id="detect"),
+    pytest.param("component c: a in m;\n\nagent c {\n  sensor { noise t.x -1; }\n}",
+                 14, "noise stdev must be nonnegative", id="noise"),
+    pytest.param("component c: a in m;\n\nagent c {\n  sensor { radius -1; }\n}",
+                 14, "sensor radius must be nonnegative", id="negative-radius"),
+]
+
+
+@pytest.mark.parametrize("extra,line,message", REJECTED)
+def test_build_errors_are_diagnostics_at_the_declaration(extra, line, message):
+    msgs = _errs(BASE + extra)
+    assert len(msgs) == 1
+    assert msgs[0].line == line
+    assert message in msgs[0].message
+
+
+def test_values_are_checked_by_building():
+    model = _ok(BASE + "component c: t { x = 3.0; } in m at 0;\n")
+    assert model.build().cfg.components["c"].state["x"] == 3
+
+
+def test_names_are_resolved_before_values():
+    msgs = _errs(BASE + "component c: t { x = 7; } in ghost;\n")
+    assert [d.message for d in msgs] == ["component 'c': unknown motif 'ghost'"]
+
+
+def test_script_names_every_scheduled_rule():
+    text = THERMOSTAT.replace(
+        "policy random;", "policy script(cool, off_to_on_0, house/cool, house/warm);")
+    assert print_model(_ok(text)) == text
+    msgs = _errs(text.replace("house/warm", "house/heat"))
+    assert msgs[0].message == "scenario: unknown scripted rule 'house/heat'"
+    assert msgs[0].line == text[:text.index("scenario")].count("\n") + 1
 
 
 def test_diagnostic_str_carries_position():

@@ -124,7 +124,7 @@ def _edit(cfg, *effects, who="c1"):
     """`cfg` after a depot configuration rule carrying `effects` fires
     with its crate parameter bound to `who`."""
     rule = Rule("edit", CONFIG, [Param("a", "crate")], TRUE, list(effects))
-    return apply(cfg, "depot", rule, {"a": who})[0]
+    return apply(cfg, "depot", rule, {"a": who})
 
 
 def _placed(n):
