@@ -23,6 +23,23 @@ DEFAULT_THRESHOLDS = {
 }
 
 
+def checked_thresholds(overrides=None):
+    """`DEFAULT_THRESHOLDS` updated with `overrides`, each in its range:
+    the EWMA weight `alpha` in [0, 1], the ratios `theta_hi`/`theta_lo`
+    nonnegative, the step counts `k_stale`/`horizon_cap` integers >= 1."""
+    th = dict(DEFAULT_THRESHOLDS)
+    th.update(overrides or {})
+    if not 0 <= th["alpha"] <= 1:
+        raise ValueError("threshold alpha outside [0, 1]")
+    for k in ("theta_hi", "theta_lo"):
+        if th[k] < 0:
+            raise ValueError(f"threshold {k} must be nonnegative")
+    for k in ("k_stale", "horizon_cap"):
+        if th[k] != int(th[k]) or th[k] < 1:
+            raise ValueError(f"threshold {k} must be an integer >= 1")
+    return th
+
+
 # ---------------------------------------------------------------------------
 # sensing
 
@@ -509,8 +526,7 @@ class AgentRuntime:
         self.active = list(goals)
         self.horizon = horizon
         self.recovery = recovery
-        self.thresholds = dict(DEFAULT_THRESHOLDS)
-        self.thresholds.update(thresholds or {})
+        self.thresholds = checked_thresholds(thresholds)
         self.internal = internal
         self.model = EnvModel.blank(truth, spec.motif)
         self.window = []

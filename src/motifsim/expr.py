@@ -1,8 +1,11 @@
 """Expression trees for rule guards, goal predicates and commands.
 
 Expressions are compiled once into nested closures evaluated against a
-`Ctx` (configuration, current motif, parameter binding).  Two partiality
-conventions keep guards total:
+`Ctx` (configuration, current motif, parameter binding).  Compiling
+resolves every name through one `Scope`, which also checks the names
+when it is given a configuration: `Model.build` compiles each rule, goal
+and check that way, so a name that denotes nothing is a build error.
+Two partiality conventions keep guards total:
 
 - an undefined address (`UNDEF`) makes any comparison false; arithmetic
   on it is an `EvalError`;
@@ -90,45 +93,104 @@ class Expr:
     def __hash__(self):
         return hash(self.unparse())
 
-    def compile(self, params):
-        """Return a closure `f(ctx) -> value`.
+    def compile(self, scope):
+        """Return a closure `f(ctx) -> value` over the names `scope` gives
+        meaning to: a `Scope`, or a set of names bound through the rule
+        binding, which checks nothing."""
+        if not isinstance(scope, Scope):
+            scope = Scope(dict.fromkeys(scope))
+        return self._compile(scope)
 
-        `params` is the set of rule-parameter names; other identifiers
-        resolve directly as component ids.
-        """
-        raise NotImplementedError
 
+class Scope:
+    """What the names of one guard, goal, check or rule body denote.
 
-def _resolve(name, params):
-    """Closure producing the component instance an owner name refers to."""
-    if name in params:
+    A name in `bound` (a rule parameter, or the name an earlier `create`
+    of the same rule body bound) resolves through the rule binding; any
+    other owner is a component id.  With a configuration `cfg`, each name
+    is checked against it as it is compiled, and one that denotes nothing
+    raises `ValueError`: an undeclared owner, var, motif or type, a write
+    outside `self` when `self_only`, or a `create` that shadows a bound
+    name.  Without one nothing is checked.
+    """
+
+    __slots__ = ("bound", "cfg", "self_only")
+
+    def __init__(self, bound=(), cfg=None, self_only=False):
+        self.bound = dict(bound)  # name -> type name
+        self.cfg = cfg
+        self.self_only = self_only
+        for tname in self.bound.values():
+            self.type(tname)
+
+    def type(self, tname):
+        if self.cfg is not None and tname not in self.cfg.types:
+            raise ValueError(f"unknown type {tname!r}")
+
+    def var(self, tname, attr):
+        if self.cfg is not None and attr not in self.cfg.types[tname].vars:
+            raise ValueError(f"type {tname!r} has no var {attr!r}")
+
+    def motif(self, mid):
+        if mid is not None and self.cfg is not None and mid not in self.cfg.motifs:
+            raise ValueError(f"unknown motif {mid!r}")
+        return mid
+
+    def bind(self, name, tname):
+        """Bind the name a `create` gives its component, for the effects
+        after it."""
+        if self.cfg is not None and name in self.bound:
+            raise ValueError(f"create shadows {name!r}")
+        self.bound[name] = tname
+
+    def _check(self, name, attr, write):
+        if self.cfg is None:
+            return
+        if name in self.bound:
+            tname = self.bound[name]
+        elif name in self.cfg.components:
+            tname = self.cfg.components[name].type.name
+        else:
+            raise ValueError(f"undeclared name {name!r}")
+        if attr is not None:
+            self.var(tname, attr)
+        if write and self.self_only and name != "self":
+            raise ValueError("may only modify 'self'")
+
+    def owner(self, name, attr=None, write=False):
+        """Closure producing the id of the component an owner name
+        denotes; `attr` is the var it reads or writes."""
+        self._check(name, attr, write)
+        if name in self.bound:
+            def get(ctx):
+                cid = ctx.binding.get(name)
+                if cid is None:
+                    raise UnboundParam(name)
+                return cid
+            return get
+        return lambda ctx: name
+
+    def component(self, name, attr):
+        """Closure producing the component instance whose var `attr` an
+        owner name reads."""
+        self._check(name, attr, False)
+        if name in self.bound:
+            def get(ctx):
+                cid = ctx.binding.get(name)
+                if cid is None:
+                    raise UnboundParam(name)
+                comp = ctx.cfg.components.get(cid)
+                if comp is None:
+                    raise EvalError(f"parameter {name!r} bound to deleted component {cid!r}")
+                return comp
+            return get
+
         def get(ctx):
-            cid = ctx.binding.get(name)
-            if cid is None:
-                raise UnboundParam(name)
-            comp = ctx.cfg.components.get(cid)
+            comp = ctx.cfg.components.get(name)
             if comp is None:
-                raise EvalError(f"parameter {name!r} bound to deleted component {cid!r}")
+                raise UnboundParam(name)
             return comp
         return get
-
-    def get(ctx):
-        comp = ctx.cfg.components.get(name)
-        if comp is None:
-            raise UnboundParam(name)
-        return comp
-    return get
-
-
-def _resolve_id(name, params):
-    if name in params:
-        def get(ctx):
-            cid = ctx.binding.get(name)
-            if cid is None:
-                raise UnboundParam(name)
-            return cid
-        return get
-    return lambda ctx: name
 
 
 def _motif_of(ctx, motif_name):
@@ -149,7 +211,7 @@ class Lit(Expr):
     def unparse(self):
         return fmt_num(self.value)
 
-    def compile(self, params):
+    def _compile(self, scope):
         v = self.value
         return lambda ctx: v
 
@@ -165,7 +227,7 @@ class Sym(Expr):
     def unparse(self):
         return self.name
 
-    def compile(self, params):
+    def _compile(self, scope):
         n = self.name
         return lambda ctx: n
 
@@ -180,8 +242,8 @@ class VarRef(Expr):
     def unparse(self):
         return f"{self.owner}.{self.attr}"
 
-    def compile(self, params):
-        get = _resolve(self.owner, params)
+    def _compile(self, scope):
+        get = scope.component(self.owner, self.attr)
         attr = self.attr
 
         def run(ctx):
@@ -205,9 +267,9 @@ class AddrRef(Expr):
             return f"@({self.owner})"
         return f"@({self.owner}, {self.motif})"
 
-    def compile(self, params):
-        get = _resolve_id(self.owner, params)
-        motif = self.motif
+    def _compile(self, scope):
+        get = scope.owner(self.owner)
+        motif = scope.motif(self.motif)
 
         def run(ctx):
             cid = get(ctx)
@@ -232,8 +294,8 @@ class Placed(Expr):
             return f"placed({self.owner})"
         return f"placed({self.owner}, {self.motif})"
 
-    def compile(self, params):
-        addr = AddrRef(self.owner, self.motif).compile(params)
+    def _compile(self, scope):
+        addr = AddrRef(self.owner, self.motif)._compile(scope)
 
         def run(ctx):
             try:
@@ -253,9 +315,9 @@ class Member(Expr):
     def unparse(self):
         return f"member({self.owner}, {self.motif})"
 
-    def compile(self, params):
-        get = _resolve_id(self.owner, params)
-        motif = self.motif
+    def _compile(self, scope):
+        get = scope.owner(self.owner)
+        motif = scope.motif(self.motif)
 
         def run(ctx):
             try:
@@ -280,9 +342,9 @@ class Empty(Expr):
             return f"empty({self.node.unparse()})"
         return f"empty({self.node.unparse()}, {self.motif})"
 
-    def compile(self, params):
-        node = self.node.compile(params)
-        motif = self.motif
+    def _compile(self, scope):
+        node = self.node._compile(scope)
+        motif = scope.motif(self.motif)
 
         def run(ctx):
             try:
@@ -316,10 +378,10 @@ class Distance(Expr):
             return f"distance({self.a.unparse()}, {self.b.unparse()})"
         return f"distance({self.a.unparse()}, {self.b.unparse()}, {self.motif})"
 
-    def compile(self, params):
-        fa = self.a.compile(params)
-        fb = self.b.compile(params)
-        motif = self.motif
+    def _compile(self, scope):
+        fa = self.a._compile(scope)
+        fb = self.b._compile(scope)
+        motif = scope.motif(self.motif)
 
         def run(ctx):
             a = fa(ctx)
@@ -344,9 +406,9 @@ class Succ(Expr):
             return f"succ({self.node.unparse()})"
         return f"succ({self.node.unparse()}, {self.motif})"
 
-    def compile(self, params):
-        node = self.node.compile(params)
-        motif = self.motif
+    def _compile(self, scope):
+        node = self.node._compile(scope)
+        motif = scope.motif(self.motif)
 
         def run(ctx):
             n = node(ctx)
@@ -400,10 +462,10 @@ class Binary(Expr):
             rs = f"({rs})"
         return f"{ls} {self.op} {rs}"
 
-    def compile(self, params):
+    def _compile(self, scope):
         op = self.op
-        fl = self.l.compile(params)
-        fr = self.r.compile(params)
+        fl = self.l._compile(scope)
+        fr = self.r._compile(scope)
 
         if op in ("and", "or"):
             def as_bool(f):
@@ -469,8 +531,8 @@ class Unary(Expr):
             return f"not {s}"
         return f"-{s}"
 
-    def compile(self, params):
-        f = self.e.compile(params)
+    def _compile(self, scope):
+        f = self.e._compile(scope)
         if self.op == "not":
             def run(ctx):
                 try:
@@ -496,9 +558,9 @@ class Unary(Expr):
 TRUE = Lit(True)
 
 
-def compile_guard(expr, params):
+def compile_guard(expr, scope):
     """Compile a guard; references to unbound optionals yield False."""
-    f = expr.compile(params)
+    f = expr.compile(scope)
 
     def run(ctx):
         try:

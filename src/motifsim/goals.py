@@ -1,7 +1,7 @@
 """Goal vocabulary shared by the planner and the agent runtime."""
 
 from .errors import EvalError
-from .expr import Ctx, UnboundParam
+from .expr import Ctx, Scope, UnboundParam
 
 CRITICAL = "critical"
 BEST_EFFORT = "best_effort"
@@ -40,13 +40,21 @@ class Goal:
         self.criticality = criticality
         self.priority = priority
         self.order = order
-        self._pred_c = None
-        self._util_c = None
+        self._pred_c = self._util_c = None
+
+    def compile(self, cfg=None):
+        """Compile the predicate and the utility; with `cfg`, check every
+        name they use against it (`Scope`)."""
+        scope = Scope(cfg=cfg)
+        if self.predicate is not None:
+            self._pred_c = self.predicate.compile(scope)
+        if self.utility is not None:
+            self._util_c = self.utility.compile(scope)
 
     def holds(self, cfg):
         """Evaluate the avoid/reach predicate on a configuration."""
         if self._pred_c is None:
-            self._pred_c = self.predicate.compile(frozenset())
+            self.compile()
         try:
             return bool(self._pred_c(Ctx(cfg)))
         except UnboundParam:
@@ -55,7 +63,7 @@ class Goal:
     def score(self, cfg):
         """Evaluate the utility expression on a configuration."""
         if self._util_c is None:
-            self._util_c = self.utility.compile(frozenset())
+            self.compile()
         try:
             v = self._util_c(Ctx(cfg))
         except (UnboundParam, EvalError):

@@ -1,8 +1,8 @@
-"""Textual modeling language: parser, resolver, canonical printer."""
+"""Textual modeling language: parser, canonical printer, and `Model.build`,
+the one check of a model's names, values and structure."""
 
 from .parser import parse
 from .syntax import Diagnostic, Model, ParseError, System, print_model
-from .validate import resolve
 
 __all__ = ["Diagnostic", "ParseError", "Model", "System", "parse",
-           "print_model", "resolve"]
+           "print_model"]

@@ -1,7 +1,7 @@
 """Tokenizer and recursive-descent parser for the modeling language.
 
-`parse` is total: any input yields either a fully resolved model or a
-nonempty diagnostic list, never a crash or a partial model.
+`parse` is total: any input yields either a model that builds or one
+error diagnostic, never a crash or a partial model.
 """
 
 import re
@@ -826,7 +826,7 @@ class Parser:
                     self.fail("expected a scheduler policy")
                 self.expect(";")
             elif self.at_kw("check"):
-                self.next()
+                pos = self.next()
                 name = self.ident("check name")
                 if not self.at_kw("always", "finally"):
                     self.fail("expected 'always' or 'finally'")
@@ -835,7 +835,7 @@ class Parser:
                 expr = self.expr()
                 self.expect(")")
                 self.expect(";")
-                checks.append(CheckDef(name, when, expr))
+                checks.append(CheckDef(name, when, expr, pos=(pos.line, pos.col)))
             else:
                 self.fail("expected a scenario item")
         self.expect("}")
@@ -844,19 +844,18 @@ class Parser:
 
 
 def parse(text):
-    """Parse model text, resolve its names and build it once.
+    """Parse model text, then build it once.
 
-    Returns `(model, diagnostics)`; `model` is None iff there is at least
-    one error diagnostic, and a returned model builds.
+    Returns `(model, diagnostics)`: a model that builds and no
+    diagnostics, or None and one error diagnostic, for the first syntax
+    error or else the first declaration, in build order, that
+    `Model.build` rejects.
     """
-    from .validate import resolve
     try:
         model = Parser(text).parse_model()
+        model.build()
     except ParseError as e:
         return None, [e.diag]
     except RecursionError:
         return None, [Diagnostic(ERROR, 1, 1, "input nests too deeply")]
-    diags = resolve(model)
-    if any(d.severity == ERROR for d in diags):
-        return None, diags
-    return model, diags
+    return model, []

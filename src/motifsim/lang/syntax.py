@@ -4,19 +4,22 @@ A parsed model keeps its declarations in source order; `print_model`
 emits the canonical text (parse -> print -> parse is a fixpoint) and
 `Model.build` instantiates the initial configuration plus the goal,
 sensor and agent tables the simulator consumes.  Building is the one
-check of a model's values and structure: the engine's constructors
-reject what has no meaning, and `_at` turns that rejection into an error
-at the declaration's position.
+check of a model's names, values and structure: the engine's
+constructors reject what has no meaning, every rule, goal and check is
+compiled through a `Scope` over the built configuration, which rejects a
+name that denotes nothing, and `_at` turns either rejection into an
+error at the declaration's position.
 """
 
 from contextlib import contextmanager
 from fractions import Fraction
 
-from ..agents import DEFAULT_THRESHOLDS, SensorSpec
+from ..agents import DEFAULT_THRESHOLDS, SensorSpec, checked_thresholds
 from ..errors import EngineError
-from ..expr import fmt_num
-from ..goals import Goal
+from ..expr import TRUE, Binary, Scope, Sym, VarRef, fmt_num
+from ..goals import UTILITY, Goal
 from ..model import (
+    AGENT,
     BoolDomain,
     ComponentInstance,
     ComponentType,
@@ -30,7 +33,9 @@ from ..model import (
     line_map,
     ring_map,
 )
-from ..rules import CONFIG, CONTROLLER, DYNAMICS, INTERACTION, Param, Rule
+from ..rules import (
+    CONFIG, CONTROLLER, DYNAMICS, INTERACTION, Assign, Param, Rule,
+)
 
 ERROR = "error"
 
@@ -60,6 +65,11 @@ class ParseError(Exception):
         self.diag = Diagnostic(ERROR, line, col, message)
 
 
+def _error(decl, message):
+    line, col = decl.pos or (0, 0)
+    return ParseError(line, col, message)
+
+
 @contextmanager
 def _at(decl, where):
     """Turn the engine's rejection of `decl` into a `ParseError` at its
@@ -67,8 +77,16 @@ def _at(decl, where):
     try:
         yield
     except (ValueError, EngineError) as e:
-        line, col = decl.pos or (0, 0)
-        raise ParseError(line, col, f"{where}: {e}") from e
+        raise _error(decl, f"{where}: {e}") from e
+
+
+def _rule(rules, decl, where, *args):
+    """`decl.to_rule(*args)`, rejected at `decl` as `where`; kept in
+    `rules` for `Model.build` to compile once the configuration exists."""
+    with _at(decl, where):
+        rule = decl.to_rule(*args)
+    rules.append((decl, where, rule))
+    return rule
 
 
 def _fmt_node(n):
@@ -136,13 +154,8 @@ class RuleDef:
         params = list(self.params)
         if self.kind == DYNAMICS:
             params = [Param("self", self_type)] + params
-        return Rule(self.name, self.kind, params, self.guard or _true(),
+        return Rule(self.name, self.kind, params, self.guard or TRUE,
                     self.effects)
-
-
-def _true():
-    from ..expr import Lit
-    return Lit(True)
 
 
 class TransDef:
@@ -161,9 +174,10 @@ class TransDef:
         return (f"{pad}from {self.frm} to {self.to}"
                 + _fmt_rule_body(self.params, self.guard, self.effects, indent))
 
-    def to_rule(self, self_type, idx):
-        from ..expr import Binary, Sym, VarRef
-        from ..rules import Assign
+    def to_rule(self, self_type, idx, modes):
+        for mode in (self.frm, self.to):
+            if mode not in modes:
+                raise ValueError(f"unknown mode {mode!r}")
         mode_test = Binary("=", VarRef("self", "mode"), Sym(self.frm))
         guard = mode_test if self.guard is None else Binary(
             "and", mode_test, self.guard)
@@ -213,14 +227,19 @@ class TypeDef:
         lines.append("}")
         return "\n".join(lines)
 
-    def build(self):
+    def build(self, rules):
+        """The component type; its rules go to `rules` (see `_rule`)."""
+        where = f"type {self.name!r}"
+        dynamics = [_rule(rules, r, f"{where} rule {r.name!r}", self.name)
+                    for r in self.dynamics]
         ctrl = None
-        if self.controller is not None:
-            transitions = [t.to_rule(self.name, i)
-                           for i, t in enumerate(self.controller.transitions)]
-            ctrl = ControllerSpec(self.controller.modes, self.controller.init,
-                                  transitions)
-        dynamics = [r.to_rule(self_type=self.name) for r in self.dynamics]
+        c = self.controller
+        if c is not None:
+            transitions = [
+                _rule(rules, t, f"{where} transition {t.frm}->{t.to}",
+                      self.name, i, c.modes)
+                for i, t in enumerate(c.transitions)]
+            ctrl = ControllerSpec(c.modes, c.init, transitions)
         return ComponentType(self.name, self.kind, self.vardecls,
                              dynamics=dynamics, controller=ctrl)
 
@@ -269,15 +288,16 @@ class MotifDef:
         lines.append("}")
         return "\n".join(lines)
 
-    def build(self):
-        rules = {INTERACTION: [], CONFIG: []}
+    def build(self, rules):
+        """The motif; its rules go to `rules` (see `_rule`)."""
+        by_kind = {INTERACTION: [], CONFIG: []}
         for r in self.rules:
-            with _at(r, f"motif {self.name!r} rule {r.name!r}"):
-                rules[r.kind].append(r.to_rule())
+            by_kind[r.kind].append(
+                _rule(rules, r, f"motif {self.name!r} rule {r.name!r}"))
         with _at(self, f"motif {self.name!r}"):
             return Motif(self.name, self.mapspec.build(),
-                         interaction_rules=rules[INTERACTION],
-                         configuration_rules=rules[CONFIG])
+                         interaction_rules=by_kind[INTERACTION],
+                         configuration_rules=by_kind[CONFIG])
 
 
 class CompDef:
@@ -300,9 +320,19 @@ class CompDef:
         return s + ";"
 
     def build(self, cfg):
-        """Add this component to `cfg`, with its members and addresses."""
+        """Add this component to `cfg`, with its members and addresses;
+        its type and motifs are checked before its values."""
+        scope = Scope(cfg=cfg)
+        scope.type(self.type)
+        for motif, _ in self.placements:
+            scope.motif(motif)
+        state = {}
+        for var, value in self.inits:
+            if var in state:
+                raise ValueError(f"duplicate init {var!r}")
+            state[var] = value
         cfg.components[self.id] = ComponentInstance(
-            self.id, cfg.types[self.type], dict(self.inits))
+            self.id, cfg.types[self.type], state)
         for motif, node in self.placements:
             members = cfg.motifs[motif].members
             if self.id in members:
@@ -325,14 +355,13 @@ class GoalDef:
         return (f"goal {self.name} {self.criticality} {self.kind}"
                 f" ({self.expr.unparse()}) priority {self.priority};")
 
-    def build(self, order):
-        if self.kind == "utility":
-            return Goal(self.name, self.kind, utility=self.expr,
-                        criticality=self.criticality, priority=self.priority,
-                        order=order)
-        return Goal(self.name, self.kind, predicate=self.expr,
-                    criticality=self.criticality, priority=self.priority,
-                    order=order)
+    def build(self, order, cfg):
+        """The goal, its expression compiled against `cfg`."""
+        expr = {"utility" if self.kind == UTILITY else "predicate": self.expr}
+        goal = Goal(self.name, self.kind, criticality=self.criticality,
+                    priority=self.priority, order=order, **expr)
+        goal.compile(cfg)
+        return goal
 
 
 class SensorDef:
@@ -394,6 +423,36 @@ class AgentDef:
         lines.append("}")
         return "\n".join(lines)
 
+    def build(self, cfg, goals):
+        """The agent's sensor, once its ego, goals, horizon, thresholds and
+        sensor names are checked against the built `cfg` and `goals`."""
+        comp = cfg.components.get(self.ego)
+        if comp is None:
+            raise ValueError("undeclared component")
+        if comp.type.kind != AGENT:
+            raise ValueError("component is not of an agent type")
+        recovery = [] if self.recovery is None else [self.recovery]
+        for name in self.goals + recovery:
+            if name not in goals:
+                raise ValueError(f"unknown goal {name!r}")
+        if recovery and goals[self.recovery].kind == UTILITY:
+            raise ValueError("recovery goal must be avoid or reach")
+        if self.horizon < 1:
+            raise ValueError("horizon must be positive")
+        checked_thresholds(self.thresholds)
+        sd = self.sensor
+        if sd is not None:
+            scope = Scope(cfg=cfg)
+            scope.motif(sd.motif)
+            for tname, attrs in sd.see:
+                scope.type(tname)
+                for attr in attrs or ():
+                    scope.var(tname, attr)
+            for tname, var, _ in sd.noise:
+                scope.type(tname)
+                scope.var(tname, var)
+        return SensorSpec.from_def(sd, _home(cfg, self.ego))
+
 
 class CheckDef:
     def __init__(self, name, when, expr, pos=None):
@@ -428,6 +487,20 @@ class ScenarioDef:
         lines.append("}")
         return "\n".join(lines)
 
+    def check(self, cfg):
+        """Check the steps, each check's names and the scripted rule names
+        against the built `cfg`."""
+        if self.steps < 0:
+            raise ValueError("steps must be nonnegative")
+        for c in self.checks:
+            with _at(c, f"check {c.name!r}"):
+                c.expr.compile(Scope(cfg=cfg))
+        if self.policy == "script":
+            known = _rule_names(cfg)
+            for name in self.script:
+                if name not in known:
+                    raise ValueError(f"unknown scripted rule {name!r}")
+
 
 class Model:
     """A parsed model file: declarations in source order."""
@@ -442,53 +515,62 @@ class Model:
         self.scenario = None
 
     def add(self, d):
-        self.decls.append(d)
-        if isinstance(d, TypeDef):
-            self.types[d.name] = d
-        elif isinstance(d, MotifDef):
-            self.motifs[d.name] = d
-        elif isinstance(d, CompDef):
-            self.components[d.id] = d
-        elif isinstance(d, GoalDef):
-            self.goals[d.name] = d
-        elif isinstance(d, AgentDef):
-            self.agents[d.ego] = d
-        elif isinstance(d, ScenarioDef):
+        """Append a declaration; one that repeats a name is a `ParseError`
+        at its position."""
+        if isinstance(d, ScenarioDef):
+            if self.scenario is not None:
+                raise _error(d, "duplicate scenario")
             self.scenario = d
+        else:
+            if isinstance(d, TypeDef):
+                what, table, name = "type", self.types, d.name
+            elif isinstance(d, MotifDef):
+                what, table, name = "motif", self.motifs, d.name
+            elif isinstance(d, CompDef):
+                what, table, name = "component", self.components, d.id
+            elif isinstance(d, GoalDef):
+                what, table, name = "goal", self.goals, d.name
+            else:
+                what, table, name = "agent", self.agents, d.ego
+            if name in table:
+                raise _error(d, f"duplicate {what} {name!r}")
+            table[name] = d
+        self.decls.append(d)
 
     def build(self):
         """Instantiate the initial configuration plus the goal, sensor and
         agent tables.
 
-        This is the one check of a model's values and structure: the
-        first declaration the engine rejects raises `ParseError` at its
-        position, with the engine's message.
+        This is the one check of a model's names, values and structure:
+        the first declaration, in build order, that the engine or a
+        `Scope` over the configuration rejects raises `ParseError` at its
+        position, with the rejection's message.
         """
+        rules = []  # (declaration, label, rule), compiled once cfg exists
         types = {}
         for name, t in self.types.items():
             with _at(t, f"type {name!r}"):
-                types[name] = t.build()
-        motifs = [m.build() for m in self.motifs.values()]
+                types[name] = t.build(rules)
+        motifs = [m.build(rules) for m in self.motifs.values()]
         cfg = Configuration((), motifs, types)
         for cd in self.components.values():
             with _at(cd, f"component {cd.id!r}"):
                 cd.build(cfg)
+        for decl, where, rule in rules:
+            with _at(decl, where):
+                rule.compile(cfg)
         goals = {}
         for i, (name, g) in enumerate(self.goals.items()):
             with _at(g, f"goal {name!r}"):
-                goals[name] = g.build(i)
+                goals[name] = g.build(i, cfg)
         sensors = {}
         for ego, ad in self.agents.items():
             with _at(ad, f"agent {ego!r}"):
-                sensors[ego] = SensorSpec.from_def(ad.sensor, _home(cfg, ego))
+                sensors[ego] = ad.build(cfg, goals)
         sc = self.scenario
-        if sc is not None and sc.policy == "script":
-            known = _rule_names(cfg)
-            for name in sc.script:
-                if name not in known:
-                    line, col = sc.pos or (0, 0)
-                    raise ParseError(line, col,
-                                     f"scenario: unknown scripted rule {name!r}")
+        if sc is not None:
+            with _at(sc, "scenario"):
+                sc.check(cfg)
         return System(cfg, goals, sensors, dict(self.agents), sc, self)
 
 

@@ -461,6 +461,11 @@ class Motif:
         self.members = set(members)
         self.interaction_rules = list(interaction_rules)
         self.configuration_rules = list(configuration_rules)
+        names = set()
+        for r in self.interaction_rules + self.configuration_rules:
+            if r.name in names:
+                raise ValueError(f"duplicate rule {r.name!r}")
+            names.add(r.name)
         self._canon = self._text = None
 
     def copy(self, copy_map=False, copy_members=False):

@@ -11,7 +11,7 @@ map edits); `apply` runs them on a private clone.
 """
 
 from .errors import EffectError, EngineError
-from .expr import UNDEF, Ctx, UnboundParam, _resolve_id, compile_guard
+from .expr import UNDEF, Ctx, Scope, UnboundParam, compile_guard
 from .model import AGENT, ComponentInstance
 
 INTERACTION = "interaction"
@@ -40,7 +40,8 @@ class Param:
 class Effect:
     __slots__ = ()
 
-    def compile(self, params):
+    def compile(self, scope):
+        """Return a closure `run(ctx)` editing `ctx.cfg`, over `scope`."""
         raise NotImplementedError
 
     def unparse(self):
@@ -61,10 +62,10 @@ class Assign(Effect):
     def unparse(self):
         return f"{self.owner}.{self.attr} := {self.value.unparse()}"
 
-    def compile(self, params):
-        get = _resolve_id(self.owner, params)
+    def compile(self, scope):
+        get = scope.owner(self.owner, self.attr, write=True)
         attr = self.attr
-        fv = self.value.compile(params)
+        fv = self.value.compile(scope)
 
         def run(ctx):
             cid = get(ctx)
@@ -87,9 +88,9 @@ class Exchange(Effect):
     def unparse(self):
         return f"exchange({self.o1}.{self.a1}, {self.o2}.{self.a2})"
 
-    def compile(self, params):
-        g1 = _resolve_id(self.o1, params)
-        g2 = _resolve_id(self.o2, params)
+    def compile(self, scope):
+        g1 = scope.owner(self.o1, self.a1, write=True)
+        g2 = scope.owner(self.o2, self.a2, write=True)
         a1, a2 = self.a1, self.a2
 
         def run(ctx):
@@ -116,9 +117,9 @@ class Move(Effect):
     def unparse(self):
         return f"@({self.owner}) := {self.node.unparse()}"
 
-    def compile(self, params):
-        get = _resolve_id(self.owner, params)
-        fn = self.node.compile(params)
+    def compile(self, scope):
+        get = scope.owner(self.owner, write=True)
+        fn = self.node.compile(scope)
 
         def run(ctx):
             cid = get(ctx)
@@ -150,12 +151,17 @@ class Create(Effect):
             s += " with { %s }" % body
         return s
 
-    def compile(self, params):
+    def compile(self, scope):
         name = self.name
         type_name = self.type
-        motif = self.motif
-        fn = self.node.compile(params) if self.node is not None else None
-        finits = [(v, e.compile(params)) for v, e in self.inits]
+        scope.type(type_name)
+        motif = scope.motif(self.motif)
+        fn = self.node.compile(scope) if self.node is not None else None
+        finits = []
+        for v, e in self.inits:
+            scope.var(type_name, v)
+            finits.append((v, e.compile(scope)))
+        scope.bind(name, type_name)
 
         def run(ctx):
             ctype = ctx.cfg.types.get(type_name)
@@ -187,8 +193,8 @@ class Delete(Effect):
     def unparse(self):
         return f"delete({self.owner})"
 
-    def compile(self, params):
-        get = _resolve_id(self.owner, params)
+    def compile(self, scope):
+        get = scope.owner(self.owner, write=True)
 
         def run(ctx):
             cid = get(ctx)
@@ -215,9 +221,9 @@ class Join(Effect):
     def unparse(self):
         return f"join({self.owner}, {self.motif})"
 
-    def compile(self, params):
-        get = _resolve_id(self.owner, params)
-        motif = self.motif
+    def compile(self, scope):
+        get = scope.owner(self.owner, write=True)
+        motif = scope.motif(self.motif)
 
         def run(ctx):
             cid = get(ctx)
@@ -238,9 +244,9 @@ class Leave(Effect):
     def unparse(self):
         return f"leave({self.owner}, {self.motif})"
 
-    def compile(self, params):
-        get = _resolve_id(self.owner, params)
-        motif = self.motif
+    def compile(self, scope):
+        get = scope.owner(self.owner, write=True)
+        motif = scope.motif(self.motif)
 
         def run(ctx):
             cid = get(ctx)
@@ -273,10 +279,10 @@ class MigrateEffect(Effect):
             s += f", {self.node.unparse()}"
         return s + ")"
 
-    def compile(self, params):
-        get = _resolve_id(self.owner, params)
-        src, dst = self.src, self.dst
-        fn = self.node.compile(params) if self.node is not None else None
+    def compile(self, scope):
+        get = scope.owner(self.owner, write=True)
+        src, dst = scope.motif(self.src), scope.motif(self.dst)
+        fn = self.node.compile(scope) if self.node is not None else None
 
         def run(ctx):
             cid = get(ctx)
@@ -309,9 +315,9 @@ class MapEdit(Effect):
     def unparse(self):
         return f"{self.op}({', '.join(a.unparse() for a in self.args)})"
 
-    def compile(self, params):
+    def compile(self, scope):
         op = self.op
-        fargs = [a.compile(params) for a in self.args]
+        fargs = [a.compile(scope) for a in self.args]
 
         def run(ctx):
             vals = [f(ctx) for f in fargs]
@@ -348,7 +354,7 @@ class Rule:
     """
 
     __slots__ = ("name", "kind", "params", "guard", "effects", "_guard_c",
-                 "_effects_c", "_pnames")
+                 "_effects_c")
 
     def __init__(self, name, kind, params, guard, effects):
         self.name = name
@@ -356,6 +362,11 @@ class Rule:
         self.params = list(params)
         self.guard = guard
         self.effects = list(effects)
+        names = set()
+        for p in self.params:
+            if p.name in names:
+                raise ValueError(f"duplicate parameter {p.name!r}")
+            names.add(p.name)
         if kind == INTERACTION:
             for e in self.effects:
                 if not isinstance(e, (Assign, Exchange)):
@@ -363,18 +374,25 @@ class Rule:
                         f"interaction rule {name!r} may only assign/exchange")
         if kind in (INTERACTION, CONFIG) and not any(p.required for p in self.params):
             raise ValueError(f"rule {name!r} needs at least one required participant")
-        self._pnames = frozenset(p.name for p in self.params)
-        self._guard_c = None
-        self._effects_c = None
+        self._guard_c = self._effects_c = None
+
+    def compile(self, cfg=None):
+        """Compile the guard and the effects; with `cfg`, check every name
+        they use against it (`Scope`).  A name an effect's `create` binds
+        is visible to the effects after it, not to the guard."""
+        params = {p.name: p.type for p in self.params}
+        self._guard_c = compile_guard(self.guard, Scope(params, cfg))
+        body = Scope(params, cfg, self_only=self.kind in (DYNAMICS, CONTROLLER))
+        self._effects_c = [e.compile(body) for e in self.effects]
 
     def guard_fn(self):
         if self._guard_c is None:
-            self._guard_c = compile_guard(self.guard, self._pnames)
+            self.compile()
         return self._guard_c
 
     def effect_fns(self):
         if self._effects_c is None:
-            self._effects_c = [e.compile(self._pnames) for e in self.effects]
+            self.compile()
         return self._effects_c
 
 

@@ -21,7 +21,7 @@ import random
 
 from .agents import AgentRuntime
 from .errors import EffectError, EngineError, ReplayDivergence
-from .expr import Ctx, UnboundParam
+from .expr import Ctx, Scope, UnboundParam
 from .games import IDLE
 from .rules import CONTROLLER, step_candidates
 
@@ -208,7 +208,7 @@ def _compile_checks(system):
     if system.scenario is None:
         return checks
     for cd in system.scenario.checks:
-        fn = cd.expr.compile(frozenset())
+        fn = cd.expr.compile(Scope())
         checks.append((cd, fn, CheckResult(cd.name, cd.when)))
     return checks
 

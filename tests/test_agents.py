@@ -388,6 +388,13 @@ def test_observe_event_ewma():
     assert len(rt.window) == 2
 
 
+def test_thresholds_are_range_checked():
+    system = _system(THERMOSTAT_DELIBERATIVE)
+    spec = SensorSpec.from_def(system.agent_defs["h1"].sensor, "house")
+    with pytest.raises(ValueError, match="alpha outside"):
+        AgentRuntime("h1", spec, [], truth=system.cfg, thresholds={"alpha": 3})
+
+
 # an agent's internal model, joined to its beliefs for planning
 BATTERY = """\
 type battery object {

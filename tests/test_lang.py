@@ -1,4 +1,5 @@
 import random
+import re
 import string
 
 import pytest
@@ -299,6 +300,8 @@ REJECTED = [
                  id="off-map"),
     pytest.param("component c: t in m at 0 in m at 1;", 12, "placed twice in 'm'",
                  id="placed-twice"),
+    pytest.param("component c: t { x = 1; x = 2; };", 12,
+                 "component 'c': duplicate init 'x'", id="duplicate-init"),
     pytest.param("goal g critical utility (1);", 12,
                  "critical goals must be avoid or reach", id="critical-utility"),
     pytest.param("component c: a in m;\n\nagent c {\n  sensor { detect 2; }\n}",
@@ -307,6 +310,15 @@ REJECTED = [
                  14, "noise stdev must be nonnegative", id="noise"),
     pytest.param("component c: a in m;\n\nagent c {\n  sensor { radius -1; }\n}",
                  14, "sensor radius must be nonnegative", id="negative-radius"),
+    pytest.param("component c: a in m;\n\nagent c {\n  thresholds { alpha 3; }\n}",
+                 14, "agent 'c': threshold alpha outside [0, 1]", id="alpha"),
+    pytest.param("component c: a in m;\n\nagent c {\n  thresholds { theta_lo -1; }\n}",
+                 14, "threshold theta_lo must be nonnegative", id="theta"),
+    pytest.param("component c: a in m;\n\nagent c {\n  thresholds { k_stale 0.5; }\n}",
+                 14, "threshold k_stale must be an integer >= 1", id="k-stale"),
+    pytest.param("component c: a in m;\n\nagent c {\n  thresholds { horizon_cap 0; }\n}",
+                 14, "threshold horizon_cap must be an integer >= 1",
+                 id="horizon-cap"),
 ]
 
 
@@ -326,6 +338,126 @@ def test_values_are_checked_by_building():
 def test_names_are_resolved_before_values():
     msgs = _errs(BASE + "component c: t { x = 7; } in ghost;\n")
     assert [d.message for d in msgs] == ["component 'c': unknown motif 'ghost'"]
+
+
+def _motif_rule(rule):
+    return f"motif n {{\n  map line(2);\n  {rule}\n}}"
+
+
+def _agent(body, before=""):
+    return f"{before}component c: a in m;\n\nagent c {{\n{body}}}"
+
+
+# each model with one name or scope error: the declaration's line and the
+# whole message
+NAME_ERRORS = [
+    pytest.param("type t object {\n}", 12, "duplicate type 't'", id="dup-type"),
+    pytest.param("motif m {\n  map line(1);\n}", 12, "duplicate motif 'm'",
+                 id="dup-motif"),
+    pytest.param("component c: t;\n\ncomponent c: t;", 14,
+                 "duplicate component 'c'", id="dup-component"),
+    pytest.param("goal g best_effort utility (1);\n\ngoal g best_effort utility (2);",
+                 14, "duplicate goal 'g'", id="dup-goal"),
+    pytest.param(_agent("", "") + "\n\nagent c {\n}", 17, "duplicate agent 'c'",
+                 id="dup-agent"),
+    pytest.param("scenario {\n}\n\nscenario {\n}", 15, "duplicate scenario",
+                 id="dup-scenario"),
+    pytest.param("type u object {\n  dynamics {\n    rule r for p: t, p: t;\n  }\n}",
+                 14, "type 'u' rule 'r': duplicate parameter 'p'", id="dup-param"),
+    pytest.param("type u object {\n  dynamics {\n    rule r for self: t;\n  }\n}",
+                 14, "type 'u' rule 'r': duplicate parameter 'self'",
+                 id="param-self"),
+    pytest.param(_motif_rule("config rule r for p: ghost;"), 14,
+                 "motif 'n' rule 'r': unknown type 'ghost'", id="param-type"),
+    pytest.param("type u agent {\n  controller {\n    modes p, q init p;\n"
+                 "    from p to r;\n  }\n}", 15,
+                 "type 'u' transition p->r: unknown mode 'r'", id="trans-mode"),
+    pytest.param("motif n { map line(2); config rule r for p: a; config rule r for"
+                 " p: a; }", 12, "motif 'n': duplicate rule 'r'", id="dup-rule"),
+    pytest.param(_motif_rule("config rule r for p: t if q.x = 1;"), 14,
+                 "motif 'n' rule 'r': undeclared name 'q'", id="guard-name"),
+    pytest.param(_motif_rule("config rule r for p: t if p.y = 1;"), 14,
+                 "motif 'n' rule 'r': type 't' has no var 'y'", id="guard-var"),
+    pytest.param(_motif_rule("config rule r for p: t if member(p, ghost);"), 14,
+                 "motif 'n' rule 'r': unknown motif 'ghost'", id="guard-motif"),
+    pytest.param(_motif_rule("config rule r for p: t if placed(q);"), 14,
+                 "motif 'n' rule 'r': undeclared name 'q'", id="placed-name"),
+    pytest.param(_motif_rule("config rule r for p: t then { q.x := 1; }"), 14,
+                 "motif 'n' rule 'r': undeclared name 'q'", id="assign-name"),
+    pytest.param(_motif_rule("config rule r for p: t then { exchange(p.x, p.y); }"),
+                 14, "motif 'n' rule 'r': type 't' has no var 'y'",
+                 id="exchange-var"),
+    pytest.param(_motif_rule("config rule r for p: t then { @(p) := @(q, m); }"),
+                 14, "motif 'n' rule 'r': undeclared name 'q'", id="move-name"),
+    pytest.param(_motif_rule("config rule r for p: t then { join(p, ghost); }"),
+                 14, "motif 'n' rule 'r': unknown motif 'ghost'", id="join-motif"),
+    pytest.param(_motif_rule("config rule r for p: t then { migrate(p, m, ghost); }"),
+                 14, "motif 'n' rule 'r': unknown motif 'ghost'", id="migrate-motif"),
+    pytest.param(_motif_rule("config rule r for p: t then { delete(q); }"), 14,
+                 "motif 'n' rule 'r': undeclared name 'q'", id="delete-name"),
+    pytest.param(_motif_rule("config rule r for p: t then { addnode(q.x); }"), 14,
+                 "motif 'n' rule 'r': undeclared name 'q'", id="mapedit-name"),
+    pytest.param(_motif_rule("config rule r for p: t then { create k: ghost; }"), 14,
+                 "motif 'n' rule 'r': unknown type 'ghost'", id="create-type"),
+    pytest.param(_motif_rule("config rule r for p: t then { create k: t in ghost; }"),
+                 14, "motif 'n' rule 'r': unknown motif 'ghost'", id="create-motif"),
+    pytest.param(_motif_rule("config rule r for p: t then { create k: t with"
+                             " { y = 1; }; }"), 14,
+                 "motif 'n' rule 'r': type 't' has no var 'y'", id="create-var"),
+    pytest.param(_motif_rule("config rule r for p: t then { create k: t at @(k); }"),
+                 14, "motif 'n' rule 'r': undeclared name 'k'", id="create-self-ref"),
+    pytest.param(_motif_rule("config rule r for p: t then { create p: t; }"), 14,
+                 "motif 'n' rule 'r': create shadows 'p'", id="create-shadows"),
+    pytest.param(_motif_rule("config rule r for p: t if k.x = 0 then"
+                             " { create k: t; }"), 14,
+                 "motif 'n' rule 'r': undeclared name 'k'", id="create-not-in-guard"),
+    pytest.param("type u object {\n  var y: bool;\n  dynamics {\n"
+                 "    rule r for o: t then { o.x := 1; }\n  }\n}", 15,
+                 "type 'u' rule 'r': may only modify 'self'", id="dynamics-write"),
+    pytest.param("component c: t;\n\ntype u agent {\n  controller {\n"
+                 "    modes p, q init p;\n    from p to q then { c.x := 1; }\n"
+                 "  }\n}", 17, "type 'u' transition p->q: may only modify 'self'",
+                 id="transition-write"),
+    pytest.param("component c: ghost;", 12, "component 'c': unknown type 'ghost'",
+                 id="component-type"),
+    pytest.param("component c: t in ghost;", 12,
+                 "component 'c': unknown motif 'ghost'", id="component-motif"),
+    pytest.param("goal g critical avoid (c.x = 1);", 12,
+                 "goal 'g': undeclared name 'c'", id="goal-name"),
+    pytest.param("agent c {\n}", 12, "agent 'c': undeclared component",
+                 id="agent-ego"),
+    pytest.param("component c: t;\n\nagent c {\n}", 14,
+                 "agent 'c': component is not of an agent type", id="agent-kind"),
+    pytest.param(_agent("  goals g;\n"), 14, "agent 'c': unknown goal 'g'",
+                 id="agent-goal"),
+    pytest.param(_agent("  recovery g;\n"), 14, "agent 'c': unknown goal 'g'",
+                 id="recovery-goal"),
+    pytest.param(_agent("  recovery g;\n", "goal g best_effort utility (1);\n\n"),
+                 16, "agent 'c': recovery goal must be avoid or reach",
+                 id="recovery-kind"),
+    pytest.param(_agent("  horizon 0;\n"), 14, "agent 'c': horizon must be positive",
+                 id="horizon"),
+    pytest.param(_agent("  sensor { motif ghost; }\n"), 14,
+                 "agent 'c': unknown motif 'ghost'", id="sensor-motif"),
+    pytest.param(_agent("  sensor { see ghost; }\n"), 14,
+                 "agent 'c': unknown type 'ghost'", id="see-type"),
+    pytest.param(_agent("  sensor { see t [y]; }\n"), 14,
+                 "agent 'c': type 't' has no var 'y'", id="see-var"),
+    pytest.param(_agent("  sensor { noise ghost.x 1; }\n"), 14,
+                 "agent 'c': unknown type 'ghost'", id="noise-type"),
+    pytest.param(_agent("  sensor { noise t.y 1; }\n"), 14,
+                 "agent 'c': type 't' has no var 'y'", id="noise-var"),
+    pytest.param("scenario {\n  steps -1;\n}", 12,
+                 "scenario: steps must be nonnegative", id="steps"),
+    pytest.param("scenario {\n  steps 1;\n  check k always (c.x = 1);\n}", 14,
+                 "check 'k': undeclared name 'c'", id="check-name"),
+]
+
+
+@pytest.mark.parametrize("extra,line,message", NAME_ERRORS)
+def test_name_errors_are_one_diagnostic_at_the_declaration(extra, line, message):
+    msgs = _errs(BASE + extra)
+    assert [(d.line, d.message) for d in msgs] == [(line, message)]
 
 
 def test_script_names_every_scheduled_rule():
@@ -360,15 +492,31 @@ def test_parser_is_total_on_garbage():
 
 
 def test_parser_is_total_on_mutated_corpus():
+    # character mutants, and identifier swaps: one identifier token replaced
+    # by another identifier of the same text, which mostly still parses and
+    # so reaches name resolution; a mutant `parse` accepts must build
     rng = random.Random(11)
+    swap = random.Random(13)
     for text in CORPUS:
+        mutants = []
         for _ in range(20):
             chars = list(text)
             for _ in range(3):
                 i = rng.randrange(len(chars))
                 chars[i] = rng.choice(string.printable)
-            model, diags = parse("".join(chars))
-            assert model is not None or diags
+            mutants.append("".join(chars))
+        idents = list(re.finditer(r"[A-Za-z_]\w*", text))
+        names = sorted({m.group() for m in idents})
+        for _ in range(40):
+            m = swap.choice(idents)
+            mutants.append(text[:m.start()] + swap.choice(names) + text[m.end():])
+        for mutant in mutants:
+            model, diags = parse(mutant)
+            if model is None:
+                assert len(diags) == 1
+            else:
+                assert diags == []
+                model.build()
 
 
 def test_unterminated_block_is_an_error():

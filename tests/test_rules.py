@@ -279,6 +279,19 @@ def test_fresh_ids_survive_deletion():
     assert "car#0" not in cfg4.components
 
 
+def test_create_binds_its_name_for_the_later_effects():
+    # a declared component `n` does not capture the created one's name
+    text = DYNAMISM.replace(
+        "create n: car at 5 with { speed = 3; };",
+        "create n: car at 5; n.speed := n.speed + 4; @(n) := 4;",
+    ) + "\ncomponent n: car;\n"
+    cfg = _system(text).cfg
+    nxt = _fire(cfg, "spawn", "c1")
+    assert nxt.components["car#0"].state["speed"] == 4
+    assert nxt.address("car#0", "lane") == 4
+    assert nxt.components["n"] is cfg.components["n"]
+
+
 def test_migrate_between_motifs():
     cfg = _system(DYNAMISM).cfg
     nxt = _fire(cfg, "park", "c1")
