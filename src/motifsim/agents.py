@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .errors import EgoUnplaced, NoSafePlan
 from .goals import AVOID, CRITICAL
-from .model import Configuration, ComponentInstance, RealRange
+from .model import Configuration, ComponentInstance, RealRange, remember
 from .games import IDLE, plan_horizon
 
 DEFAULT_THRESHOLDS = {
@@ -513,6 +513,12 @@ def merge_configs(a, b):
 # the memoized outcome of a `decide` that raised `NoSafePlan`
 _NO_PLAN = object()
 
+#: Bound on the `decide` outcomes an `AgentRuntime` keeps (the oldest is
+#: evicted past it), so an agent's memory does not grow with the steps of
+#: a run.  A new planning state adds one key per goal set and horizon
+#: tried there.
+DECIDED = 1024
+
 
 class AgentRuntime:
     """Per-agent mutable state threaded through the simulation."""
@@ -532,7 +538,8 @@ class AgentRuntime:
         self.window = []
         self.ewma = Fraction(0)
         self._last_percept = None
-        # (planning state hash, goal names, horizon) -> label or _NO_PLAN
+        # (planning state hash, goal names, horizon) -> label or _NO_PLAN,
+        # at most DECIDED entries
         self._decided = {}
         # (believed model, its merge with `internal`)
         self._merged = None
@@ -564,7 +571,7 @@ class AgentRuntime:
                 label = decide(cfg, goals, self.repo, self.ego, horizon)
             except NoSafePlan:
                 label = _NO_PLAN
-            self._decided[key] = label
+            return remember(self._decided, key, label, DECIDED)
         return self._decided[key]
 
     def step(self, truth, step, seed):

@@ -634,3 +634,12 @@ def _tuple_repr(items):
         return "(%s,)" % items[0]
     return "(%s)" % ", ".join(items)
 
+
+def remember(memo, key, value, bound):
+    """Store `memo[key] = value` and return `value`, evicting the oldest
+    entry once `memo` holds more than `bound`: the one eviction policy of
+    the engine's memos keyed by state hash."""
+    memo[key] = value
+    if len(memo) > bound:
+        del memo[next(iter(memo))]
+    return value

@@ -14,6 +14,14 @@ them, so an idle agent withholds its own actions.  The pool ordering
 keeps explicit controllers ahead of environment dynamics, which is what
 makes their guarantees carry over from the game abstraction (an agent
 that must react is never outrun by the plant).
+
+What a step derives from the state alone is kept in one record per
+state hash, filled on first use: the `step_candidates` listing split
+into pools (each candidate keeps its fired successor), the table-driven
+controllers' commands, and the `always` checks that fail there.  Only
+the deliberative agents' commands are worked out every step.  A `World`
+keeps at most `RECORDS` records and evicts the oldest, so the memory of
+a run does not grow with its steps.
 """
 
 import json
@@ -23,7 +31,12 @@ from .agents import AgentRuntime
 from .errors import EffectError, EngineError, ReplayDivergence
 from .expr import Ctx, Scope, UnboundParam
 from .games import IDLE
+from .model import remember
 from .rules import CONTROLLER, step_candidates
+
+#: Per-state records a `World` keeps: more than the states any bundled or
+#: benchmark run keeps coming back to (the thermostat's are about 26).
+RECORDS = 1024
 
 
 class CheckResult:
@@ -39,6 +52,18 @@ class CheckResult:
         if self.ok:
             self.ok = False
             self.first_fail = step
+
+
+class _Record:
+    """What a step derives from one state hash.  Both parts are pure
+    functions of it: the deliberative egos are fixed per `World`, and a
+    table controller looks its command up by state hash."""
+
+    __slots__ = ("pools", "failing")
+
+    def __init__(self):
+        self.pools = None    # World._pools: the candidates, split
+        self.failing = None  # World._failing: results of failing `always` checks
 
 
 class Trace:
@@ -88,8 +113,10 @@ class World:
         self.rng = random.Random(f"run:{seed}")
         self.step_no = 0
         self.rr = 0
-        # state hash -> its candidates, each keeping its fired successor
-        self._cands = {}
+        # state hash -> _Record, at most RECORDS; the current state's record
+        # `_rec` was looked up for the configuration `_at`
+        self._records = {}
+        self._rec = self._at = None
         self.runtimes = {}
         for ego, ad in system.agent_defs.items():
             goals = [system.goals[n] for n in ad.goals if n in system.goals]
@@ -100,6 +127,7 @@ class World:
             if ad.recovery and ad.recovery in system.goals:
                 rt.repo.goals.setdefault(ad.recovery, system.goals[ad.recovery])
             self.runtimes[ego] = rt
+        self._deliberative = frozenset(self.runtimes)
         self.tables = {}
         if controllers:
             for ego, (gnames, ctrl) in controllers.items():
@@ -111,32 +139,48 @@ class World:
                     # synthesized controller on the truth state
                     self.tables[ego] = ctrl
 
-    # -- candidate pools ----------------------------------------------------
+    # -- the per-state record -----------------------------------------------
 
-    def _candidates(self):
-        h = self.cfg.state_hash()
-        cands = self._cands.get(h)
-        if cands is None:
-            cands = step_candidates(self.cfg)
-            self._cands[h] = cands
-        return cands
+    def _record(self):
+        """The current state's record: looked up once per state entered,
+        and made when its hash has none."""
+        if self._at is not self.cfg:
+            h = self.cfg.state_hash()
+            self._rec = self._records.get(h) or remember(
+                self._records, h, _Record(), RECORDS)
+            self._at = self.cfg
+        return self._rec
 
-    def _pools(self, chosen_labels, steered=()):
-        deliberative = set(self.runtimes) | set(steered)
-        by_label = {}
-        p2 = []
-        p3 = []
-        for c in self._candidates():
-            by_label[c.label] = c
-            owners = c.controlled_by & deliberative
-            if owners:
-                continue  # withheld unless its agent chose it
-            if c.kind == CONTROLLER:
-                p2.append(c)
-            else:
-                p3.append(c)
-        p1 = [by_label[lab] for lab in chosen_labels if lab in by_label]
-        return p1, p2, p3
+    def _pools(self):
+        """`(by_label, p1 of the table controllers, p2, p3)` at the
+        current state, kept in its record."""
+        rec = self._record()
+        if rec.pools is None:
+            steered, table = set(self.runtimes), []
+            for ego, ctrl in self.tables.items():
+                cmd = ctrl.command(self.cfg)
+                if cmd is None:
+                    continue  # coverage gap: leave the ego's own moves free
+                steered.add(ego)
+                if cmd != IDLE:
+                    table.append(cmd)
+            by_label, p2, p3 = {}, [], []
+            for c in step_candidates(self.cfg):
+                by_label[c.label] = c
+                if c.controlled_by & steered:
+                    continue  # withheld unless its agent chose it
+                (p2 if c.kind == CONTROLLER else p3).append(c)
+            rec.pools = (by_label, [by_label[lab] for lab in table if lab in by_label],
+                         p2, p3)
+        return rec.pools
+
+    def _failing(self, always):
+        """Which of the run's `always` checks, `(fn, result)` pairs, fail
+        at the current state: their results, kept in its record."""
+        rec = self._record()
+        if rec.failing is None:
+            rec.failing = [res for fn, res in always if not _holds(fn, self.cfg)]
+        return rec.failing
 
     # -- one step -----------------------------------------------------------
 
@@ -151,16 +195,9 @@ class World:
             beliefs[ego] = rt.model.digest()
             if label is not None:
                 chosen.append(label)
-        steered = []
-        for ego, ctrl in self.tables.items():
-            cmd = ctrl.command(self.cfg)
-            if cmd is None:
-                continue  # coverage gap: leave the ego's own moves free
-            steered.append(ego)
-            if cmd != IDLE:
-                chosen.append(cmd)
-
-        p1, p2, p3 = self._pools(chosen, steered)
+        by_label, p1, p2, p3 = self._pools()
+        if chosen:
+            p1 = [by_label[lab] for lab in chosen if lab in by_label] + p1
         pool = p1 or p2 or p3
         cand = None
         if self.policy == "script":
@@ -186,7 +223,7 @@ class World:
             unc = False
         else:
             motif, rule, binding = cand.motif, cand.rule.name, dict(cand.binding)
-            unc = not (cand.controlled_by & set(self.runtimes)) \
+            unc = not (cand.controlled_by & self._deliberative) \
                 and cand.kind != CONTROLLER
             try:
                 self.cfg = cand.fire()
@@ -203,26 +240,12 @@ class World:
         return event
 
 
-def _compile_checks(system):
-    checks = []
-    if system.scenario is None:
-        return checks
-    for cd in system.scenario.checks:
-        fn = cd.expr.compile(Scope())
-        checks.append((cd, fn, CheckResult(cd.name, cd.when)))
-    return checks
-
-
-def _eval_checks(checks, when, cfg, step):
-    for cd, fn, res in checks:
-        if cd.when != when:
-            continue
-        try:
-            ok = bool(fn(Ctx(cfg)))
-        except (EngineError, UnboundParam):
-            ok = False
-        if not ok:
-            res.fail(step)
+def _holds(fn, cfg):
+    """A check's verdict at `cfg`: an evaluation error is a failure."""
+    try:
+        return bool(fn(Ctx(cfg)))
+    except (EngineError, UnboundParam):
+        return False
 
 
 def run(system, steps=None, seed=None, policy=None, controllers=None):
@@ -238,15 +261,21 @@ def run(system, steps=None, seed=None, policy=None, controllers=None):
     world = World(system, seed=seed, policy=policy, controllers=controllers)
     trace = Trace({"model": _model_hash(system), "seed": seed,
                    "policy": policy, "steps": steps})
-    checks = _compile_checks(system)
-    _eval_checks(checks, "always", world.cfg, -1)
+    checks = [(cd, cd.expr.compile(Scope()), CheckResult(cd.name, cd.when))
+              for cd in (sc.checks if sc else ())]
+    always = [(fn, res) for cd, fn, res in checks if cd.when == "always"]
+    for res in world._failing(always):
+        res.fail(-1)
     for _ in range(steps):
         e = world.advance()
         if e is None:
             break
         trace.events.append(e)
-        _eval_checks(checks, "always", world.cfg, e["step"])
-    _eval_checks(checks, "finally", world.cfg, world.step_no)
+        for res in world._failing(always):
+            res.fail(e["step"])
+    for cd, fn, res in checks:
+        if cd.when == "finally" and not _holds(fn, world.cfg):
+            res.fail(world.step_no)
     trace.checks = [res for _, _, res in checks]
     trace.final = world.cfg
     return trace

@@ -2,11 +2,14 @@ import json
 
 import pytest
 
-from motifsim import sim
-from motifsim.errors import ReplayDivergence
-from motifsim.games import IDLE, Controller, ground
+from motifsim import agents, sim
+from motifsim.errors import EffectError, ReplayDivergence
+from motifsim.expr import Ctx, Scope
+from motifsim.games import IDLE, Controller, ground, solve_safety
 from motifsim.lang import parse
-from motifsim.scenarios import PLATOON, SHUTTLE, SOCCER, THERMOSTAT
+from motifsim.rules import step_candidates
+from motifsim.scenarios import (
+    PLATOON, SHUTTLE, SOCCER, THERMOSTAT, THERMOSTAT_DELIBERATIVE)
 
 
 def _system(text):
@@ -369,3 +372,125 @@ def test_undefined_arithmetic_in_checks_fails_at_its_step():
     near, ends = trace.checks
     assert (near.ok, near.first_fail) == (False, 2)
     assert (ends.ok, ends.first_fail) == (False, 3)
+
+
+# -- the per-state record -----------------------------------------------------
+
+
+def _band_controller(system):
+    game = ground(system.cfg, "h1", bad=system.goals["band"].holds)
+    return {"h1": (frozenset({"band"}), solve_safety(game))}
+
+
+def _bundled_runs():
+    """(name, system, run keywords) for each bundled scenario; the
+    thermostat runs free and steered by its `band` controller."""
+    thermostat = _system(THERMOSTAT)
+    return [
+        ("thermostat", thermostat, {"steps": 1000}),
+        ("thermostat_steered", thermostat,
+         {"steps": 1000, "controllers": _band_controller(thermostat)}),
+        ("thermostat_deliberative", _system(THERMOSTAT_DELIBERATIVE), {}),
+        ("platoon", _system(PLATOON), {}),
+        ("soccer", _system(SOCCER), {}),
+        ("shuttle", _system(SHUTTLE), {}),
+    ]
+
+
+def _outcome(trace):
+    return trace.text(), [(c.name, c.ok, c.first_fail) for c in trace.checks]
+
+
+@pytest.mark.parametrize("module, bound_name, bound", [
+    (sim, "RECORDS", 1), (sim, "RECORDS", 2),
+    (agents, "DECIDED", 1), (agents, "DECIDED", 2)],
+    ids=["records-1", "records-2", "decided-1", "decided-2"])
+def test_eviction_leaves_runs_unchanged(monkeypatch, module, bound_name, bound):
+    runs = _bundled_runs()
+    if module is agents:
+        runs = [r for r in runs if r[0] == "thermostat_deliberative"]
+    expected = {(name, s): _outcome(sim.run(system, seed=s, **kw))
+                for name, system, kw in runs for s in range(2)}
+    monkeypatch.setattr(module, bound_name, bound)
+    for name, system, kw in runs:
+        for s in range(2):
+            assert _outcome(sim.run(system, seed=s, **kw)) == expected[name, s], name
+
+
+def test_per_state_record_is_bounded():
+    world = sim.World(_system(SHUTTLE), seed=0)
+    posts = set()
+    for _ in range(3 * sim.RECORDS):
+        posts.add(world.advance()["post"])
+        assert len(world._records) <= sim.RECORDS
+    assert len(posts) == 3 * sim.RECORDS  # every step a new state
+    assert len(world._records) == sim.RECORDS
+
+
+def test_decided_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(agents, "DECIDED", 4)
+    world = sim.World(_system(THERMOSTAT_DELIBERATIVE), seed=0)
+    rt = world.runtimes["h1"]
+    sizes = set()
+    for _ in range(300):
+        world.advance()
+        sizes.add(len(rt._decided))
+    assert max(sizes) == agents.DECIDED
+
+
+WARMISH = THERMOSTAT.replace(
+    "check inband always (room.temp >= 17.5 and room.temp <= 22.5);",
+    "check warmish always (room.temp > 18.0);")
+
+
+def _failing_steps(system, trace):
+    """The steps at which each `always` check fails, found by replaying
+    `trace` and evaluating every check at every step, with no memo."""
+    checks = [(cd.name, cd.expr.compile(Scope()))
+              for cd in system.scenario.checks if cd.when == "always"]
+    failed = {name: [] for name, _ in checks}
+
+    def evaluate(cfg, step):
+        for name, fn in checks:
+            if not fn(Ctx(cfg)):
+                failed[name].append(step)
+
+    cfg = system.cfg
+    evaluate(cfg, -1)
+    for e in trace.events:
+        cand = next(c for c in step_candidates(cfg)
+                    if (c.motif, c.rule.name, dict(c.binding))
+                    == (e["motif"], e["rule"], e["binding"]))
+        try:
+            cfg = cand.fire()
+        except EffectError:
+            pass
+        assert cfg.state_hash() == e["post"]
+        evaluate(cfg, e["step"])
+    return failed
+
+
+def test_always_verdicts_match_a_memo_free_evaluation(monkeypatch):
+    # warmish fails at 18.0, where the heater switches on, a state the
+    # thermostat keeps coming back to: a remembered verdict must fail the
+    # check at every later visit too
+    system = _system(WARMISH)
+    called = []
+    fail = sim.CheckResult.fail
+
+    def recording(res, step):
+        called.append((res.name, step))
+        fail(res, step)
+
+    monkeypatch.setattr(sim.CheckResult, "fail", recording)
+    revisited = 0
+    for seed in range(4):
+        called.clear()
+        trace = sim.run(system, steps=1000, seed=seed)
+        failed = _failing_steps(system, trace)
+        (warmish,) = trace.checks
+        steps = failed["warmish"]
+        assert (warmish.ok, warmish.first_fail) == (not steps, min(steps, default=None))
+        assert called == [("warmish", step) for step in steps]
+        revisited += len(steps) > 1
+    assert revisited
