@@ -17,7 +17,6 @@ from .errors import (  # noqa: F401
 )
 from .games import (  # noqa: F401
     Controller,
-    compose_environments,
     export_controller,
     ground,
     import_controller,

@@ -413,8 +413,7 @@ def adapt(repo, model, window, active_goals, recovery=None, horizon=3,
       times its value 10 steps ago and grows it below theta_lo times;
     - repository exceptional-event rules fire their directives.
     """
-    th = dict(DEFAULT_THRESHOLDS)
-    th.update(thresholds or {})
+    th = checked_thresholds(thresholds)
     out = []
     for g in active_goals:
         if g.criticality == CRITICAL and g.kind == AVOID and g.holds(model.cfg):
@@ -497,34 +496,22 @@ def decide(cfg, goals, repo, ego, horizon):
 # the composed loop
 
 
-def merge_configs(a, b):
-    """Disjoint union of two configurations (external + internal models)."""
-    cfg = Configuration.__new__(Configuration)
-    cfg.components = {**a.components, **b.components}
-    cfg.motifs = {**a.motifs, **b.motifs}
-    cfg.addresses = {**a.addresses, **b.addresses}
-    cfg.types = {**a.types, **b.types}
-    cfg.counters = {**a.counters, **b.counters}
-    cfg._hash = None
-    cfg.check()
-    return cfg
-
-
 # the memoized outcome of a `decide` that raised `NoSafePlan`
 _NO_PLAN = object()
 
 #: Bound on the `decide` outcomes an `AgentRuntime` keeps (the oldest is
 #: evicted past it), so an agent's memory does not grow with the steps of
-#: a run.  A new planning state adds one key per goal set and horizon
+#: a run.  A new believed state adds one key per goal set and horizon
 #: tried there.
 DECIDED = 1024
 
 
 class AgentRuntime:
-    """Per-agent mutable state threaded through the simulation."""
+    """Per-agent mutable state threaded through the simulation.  The agent
+    plans on its believed model `model.cfg`, which `reflect` maintains."""
 
     def __init__(self, ego, spec, goals, truth, repo=None, horizon=3,
-                 recovery=None, thresholds=None, internal=None):
+                 recovery=None, thresholds=None):
         self.ego = ego
         self.spec = spec
         self.repo = repo if repo is not None else KnowledgeRepository(
@@ -533,16 +520,13 @@ class AgentRuntime:
         self.horizon = horizon
         self.recovery = recovery
         self.thresholds = checked_thresholds(thresholds)
-        self.internal = internal
         self.model = EnvModel.blank(truth, spec.motif)
         self.window = []
         self.ewma = Fraction(0)
         self._last_percept = None
-        # (planning state hash, goal names, horizon) -> label or _NO_PLAN,
+        # (believed state hash, goal names, horizon) -> label or _NO_PLAN,
         # at most DECIDED entries
         self._decided = {}
-        # (believed model, its merge with `internal`)
-        self._merged = None
 
     def observe_event(self, uncontrollable):
         """Feed the committed event's controllability into the EWMA."""
@@ -551,15 +535,6 @@ class AgentRuntime:
         self.window.append(self.ewma)
         if len(self.window) > 64:
             del self.window[:-16]
-
-    def planning_cfg(self):
-        """The beliefs, merged with the internal model when there is one;
-        merged again only when `reflect` has replaced the beliefs."""
-        if self.internal is None:
-            return self.model.cfg
-        if self._merged is None or self._merged[0] is not self.model:
-            self._merged = (self.model, merge_configs(self.model.cfg, self.internal))
-        return self._merged[1]
 
     def _decide(self, cfg, goals, horizon):
         """`decide` memoized on its key; `_NO_PLAN` stands for
@@ -592,7 +567,7 @@ class AgentRuntime:
         directives = adapt(self.repo, self.model, self.window, self.active,
                            recovery=self.recovery, horizon=self.horizon,
                            thresholds=self.thresholds, step=step)
-        cfg = self.planning_cfg()
+        cfg = self.model.cfg
         goals, self.horizon = manage_goals(
             self.repo, directives, self.active, self.horizon,
             lambda gs, h: self._decide(cfg, gs, h) is not _NO_PLAN, step=step)

@@ -5,9 +5,9 @@ grounding and finite-horizon AND-OR planning both read the game through
 it.  The greatest-fixpoint safety solver (maximally permissive) and the
 least-fixpoint reachability solver, whose ranks count game moves to
 target at agent and env turns alike, share one O(|V|+|E|) backward
-attractor pass, run for opposite players.  Also: environment-model
-products, the tabular controller file format, and `Controller.command`,
-the one way a controller picks the command to play.
+attractor pass, run for opposite players.  Also: the tabular
+controller file format, and `Controller.command`, the one way a
+controller picks the command to play.
 """
 
 from collections import deque
@@ -55,7 +55,6 @@ class GameModel:
     def __init__(self):
         self.states = []
         self.index = {}
-        self.by_world = {}
         self.initial = 0
 
     def add_state(self, key, world, turn, bad=False, target=False):
@@ -64,7 +63,6 @@ class GameModel:
         i = len(self.states)
         self.states.append(GameState(key, world, turn, bad, target))
         self.index[key] = i
-        self.by_world[(world, turn)] = i
         return i
 
     def add_action(self, src, label, dst, controllable):
@@ -200,6 +198,8 @@ def ground(cfg, ego, max_states=10000, bad=None, target=None):
     bad = bad or _always_false
     target = target or _always_false
     game = GameModel()
+    # state hash -> (configuration, its agent-turn state); the env-turn
+    # state is the next index
     worlds = {}
     queue = deque()
 
@@ -207,28 +207,27 @@ def ground(cfg, ego, max_states=10000, bad=None, target=None):
         w = c.state_hash()
         prev = worlds.get(w)
         if prev is not None:
-            if prev.canonical_key() != c.canonical_key():
+            if prev[0].canonical_key() != c.canonical_key():
                 raise InvariantViolation(f"state hash collision at {w!r}")
-            return w
+            return prev[1]
         if len(game.states) + 2 > max_states:
             raise StateBudgetExceeded(
                 f"state budget {max_states} exceeded", frontier=len(queue) + 1)
-        worlds[w] = c
         b, t = bad(c), target(c)
-        game.add_state(w + ":a", w, AGENT_TURN, b, t)
+        i = game.add_state(w + ":a", w, AGENT_TURN, b, t)
         game.add_state(w + ":e", w, ENV_TURN, b, t)
-        queue.append(w)
-        return w
+        worlds[w] = (c, i)
+        queue.append((c, i))
+        return i
 
-    game.initial = game.by_world[(intern(cfg), AGENT_TURN)]
+    game.initial = intern(cfg)
     while queue:
-        w = queue.popleft()
-        c = worlds[w]
+        c, i = queue.popleft()
         cands = step_candidates(c)
-        for turn, to in ((AGENT_TURN, ENV_TURN), (ENV_TURN, AGENT_TURN)):
-            src = game.by_world[(w, turn)]
+        # an agent move lands on an env turn, an env move on an agent turn
+        for turn, src, to in ((AGENT_TURN, i, 1), (ENV_TURN, i + 1, 0)):
             for label, nxt in moves(c, cands, ego, turn):
-                dst = game.by_world[(w if nxt is c else intern(nxt), to)]
+                dst = (i if nxt is c else intern(nxt)) + to
                 game.add_action(src, label, dst, turn == AGENT_TURN)
     return game
 
@@ -338,81 +337,6 @@ def solve_reach(game, within=None):
             for i, s in enumerate(states)
             if rank[i] is not None and s.turn == AGENT_TURN}
     return Controller(ranks, kept, ranks)
-
-
-# ---------------------------------------------------------------------------
-# environment product
-
-
-def compose_environments(external, internal, max_states=100000):
-    """Synchronous product of two environment games on turns.
-
-    At agent turns the agent picks one action per component game (their
-    explicit `idle` actions realize one-sided moves); at env turns the
-    branches are the union of both environments' real uncontrollable
-    actions, with `pass` only when both are quiescent.  bad is the
-    disjunction, target the conjunction.
-    """
-    def part(g, w, turn):
-        i = g.by_world.get((w, turn))
-        if i is None:
-            raise StateBudgetExceeded(
-                f"component game lacks state ({w!r}, {turn})", frontier=1)
-        return g.states[i]
-
-    s1 = external.states[external.initial]
-    s2 = internal.states[internal.initial]
-    if s1.turn != s2.turn:
-        raise ValueError("component games must start on the same turn")
-
-    game = GameModel()
-
-    def intern(w1, w2, turn):
-        world = (w1, w2)
-        i = game.by_world.get((world, turn))
-        if i is not None:
-            return i
-        if len(game.states) + 1 > max_states:
-            raise StateBudgetExceeded(
-                f"product state budget {max_states} exceeded", frontier=len(queue) + 1)
-        p1 = part(external, w1, turn)
-        p2 = part(internal, w2, turn)
-        key = f"{w1}|{w2}:{'a' if turn == AGENT_TURN else 'e'}"
-        i = game.add_state(key, world, turn,
-                           bad=p1.bad or p2.bad,
-                           target=p1.target and p2.target)
-        queue.append(i)
-        return i
-
-    queue = deque()
-    game.initial = intern(s1.world, s2.world, s1.turn)
-
-    while queue:
-        i = queue.popleft()
-        s = game.states[i]
-        w1, w2 = s.world
-        p1 = part(external, w1, s.turn)
-        p2 = part(internal, w2, s.turn)
-        if s.turn == AGENT_TURN:
-            for a1 in p1.actions:
-                d1 = external.states[a1.dst].world
-                for a2 in p2.actions:
-                    d2 = internal.states[a2.dst].world
-                    game.add_action(i, f"{a1.label}|{a2.label}",
-                                    intern(d1, d2, ENV_TURN), True)
-        else:
-            branches = []
-            for a1 in p1.actions:
-                if a1.label != PASS:
-                    branches.append((f"{a1.label}|.", external.states[a1.dst].world, w2))
-            for a2 in p2.actions:
-                if a2.label != PASS:
-                    branches.append((f".|{a2.label}", w1, internal.states[a2.dst].world))
-            if not branches:
-                branches = [(PASS, w1, w2)]
-            for label, d1, d2 in branches:
-                game.add_action(i, label, intern(d1, d2, AGENT_TURN), False)
-    return game
 
 
 # ---------------------------------------------------------------------------
@@ -608,9 +532,15 @@ def import_controller(text, game=None):
         key, rtxt, lab = parts
         winning.add(key)
         if rtxt != "-":
-            rank[key] = int(rtxt)
+            try:
+                rank[key] = int(rtxt)
+            except ValueError:
+                raise InvariantViolation(f"non-integer rank in line: {ln!r}") from None
         if lab != "-":
             kept.setdefault(key, []).append(lab)
+    if rank and len(rank) != len(winning):
+        raise InvariantViolation(
+            f"unranked state {min(winning - rank.keys())!r} in a ranked table")
     ctrl = Controller(winning, {k: tuple(v) for k, v in kept.items()}, rank)
     if game is not None:
         ctrl.validate(game)

@@ -7,7 +7,7 @@ from motifsim import agents
 from motifsim.agents import (
     AgentRuntime, DEFAULT_THRESHOLDS, EnterRecovery, EnvModel,
     KnowledgeRepository, SensorSpec, SetHorizon, adapt,
-    decide, manage_goals, merge_configs, perceive, reflect, restrict,
+    decide, manage_goals, perceive, reflect, restrict,
 )
 from motifsim.errors import EgoUnplaced, NoSafePlan
 from motifsim.expr import TRUE
@@ -247,6 +247,13 @@ def test_adapt_ewma_shrinks_and_grows_horizon():
     assert out == []
 
 
+def test_adapt_range_checks_its_thresholds():
+    system = _system(THERMOSTAT)
+    with pytest.raises(ValueError, match="theta_hi"):
+        adapt(KnowledgeRepository(), EnvModel(system.cfg, "house"), [], [],
+              thresholds={"theta_hi": -1})
+
+
 def test_adapt_exceptional_rules_fire():
     system = _system(THERMOSTAT)
     repo = KnowledgeRepository(exceptional=[
@@ -395,60 +402,23 @@ def test_thresholds_are_range_checked():
         AgentRuntime("h1", spec, [], truth=system.cfg, thresholds={"alpha": 3})
 
 
-# an agent's internal model, joined to its beliefs for planning
-BATTERY = """\
-type battery object {
-  var charge: int[0, 100];
-}
-
-motif pack {
-  map line(1);
-}
-
-component b1: battery { charge = 80; } in pack at 0;
-"""
-
-
-def test_merge_configs_disjoint_union():
-    ext = _system(THERMOSTAT).cfg
-    internal = _system(BATTERY).cfg
-    merged = merge_configs(ext, internal)
-    assert "room" in merged.components and "b1" in merged.components
-    assert merged.motif("pack").members == {"b1"}
-    assert merged.components["b1"].state["charge"] == 80
-
-
-def test_internal_model_joins_planning():
-    system = _system(THERMOSTAT_DELIBERATIVE)
-    internal = _system(BATTERY).cfg
-    ad = system.agent_defs["h1"]
-    spec = SensorSpec.from_def(ad.sensor, "house")
-    goals = [system.goals[n] for n in ad.goals]
-    rt = AgentRuntime("h1", spec, goals, horizon=2, truth=system.cfg,
-                      internal=internal)
-    rt.step(system.cfg, 0, seed=0)
-    assert "b1" in rt.planning_cfg().components
-
-
-def test_library_controller_covers_the_merged_planning_state():
+def test_library_controller_covers_the_believed_state():
     # `low` is lost at every first action, so only a library controller
-    # covering the state the agent plans on (beliefs plus internal model)
-    # can keep it
+    # covering the state the agent plans on, its believed model, can
+    # keep it
     system = _system(THERMOSTAT_DELIBERATIVE +
                      "\ngoal low critical avoid (room.temp >= 17.0);\n")
-    internal = _system(BATTERY).cfg
     spec = SensorSpec.from_def(system.agent_defs["h1"].sensor, "house")
     low = system.goals["low"]
 
     def runtime(repo=None):
         return AgentRuntime("h1", spec, [low], repo=repo, horizon=2,
-                            truth=system.cfg, internal=internal)
+                            truth=system.cfg)
 
     probe = runtime()
     assert probe.step(system.cfg, 0, seed=0) is None
     assert any(r.kind == "dropped" for r in probe.repo.records)
-    key = probe.planning_cfg().state_hash() + ":a"
-    assert key != probe.model.digest() + ":a"
+    key = probe.model.digest() + ":a"
     ctrl = Controller({key}, {key: ("house/go[self=h1]",)})
     repo = KnowledgeRepository(goals={"low": low}, controllers={
         "lib": (frozenset({"low"}), ctrl)})
@@ -485,48 +455,3 @@ def test_feasibility_is_judged_at_the_adapted_horizon(monkeypatch):
     assert horizons == [1]
     assert [(r.kind, r.detail) for r in rt.repo.records] == [
         ("dropped", "cooled")]
-
-
-def test_planning_cfg_is_merged_once_per_step(monkeypatch):
-    system = _system(THERMOSTAT_DELIBERATIVE)
-    ad = system.agent_defs["h1"]
-    spec = SensorSpec.from_def(ad.sensor, "house")
-    goals = [system.goals[n] for n in ad.goals]
-    merges = []
-    original = agents.merge_configs
-
-    def counted(a, b):
-        merges.append(1)
-        return original(a, b)
-
-    monkeypatch.setattr(agents, "merge_configs", counted)
-    rt = AgentRuntime("h1", spec, goals, horizon=2, truth=system.cfg,
-                      internal=_system(BATTERY).cfg)
-    for i in range(10):
-        rt.step(system.cfg, i, seed=0)
-    assert 0 < len(merges) <= 10
-
-
-def test_planning_cfg_is_merged_once_per_reflect(monkeypatch):
-    system = _system(THERMOSTAT_DELIBERATIVE)
-    ad = system.agent_defs["h1"]
-    spec = SensorSpec.from_def(ad.sensor, "house")
-    goals = [system.goals[n] for n in ad.goals]
-    calls = {"merge_configs": 0, "reflect": 0}
-
-    def counted(name):
-        original = getattr(agents, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        monkeypatch.setattr(agents, name, wrapper)
-
-    counted("merge_configs")
-    counted("reflect")
-    rt = AgentRuntime("h1", spec, goals, horizon=2, truth=system.cfg,
-                      internal=_system(BATTERY).cfg)
-    for i in range(10):
-        rt.step(system.cfg, i, seed=0)
-    assert calls["reflect"] > 0
-    assert calls["merge_configs"] == calls["reflect"]

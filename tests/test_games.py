@@ -5,7 +5,7 @@ import pytest
 from motifsim import games, sim
 from motifsim.errors import InvariantViolation, NoSafePlan, StateBudgetExceeded
 from motifsim.games import (
-    AGENT_TURN, ENV_TURN, Controller, GameModel, IDLE, PASS, compose_environments,
+    AGENT_TURN, ENV_TURN, Controller, GameModel, IDLE, PASS,
     export_controller, ground, import_controller, plan_horizon, solve_reach,
     solve_safety,
 )
@@ -293,46 +293,6 @@ def test_committed_transitions_are_game_edges(name, ego, size):
     assert len(committed) > 1
 
 
-# -- environment product -----------------------------------------------------
-
-
-def _trivial_partner():
-    g = GameModel()
-    g.add_state("ta", "tw", AGENT_TURN)
-    g.add_state("te", "tw", ENV_TURN)
-    g.add_action(0, IDLE, 1, True)
-    g.add_action(1, PASS, 0, False)
-    g.initial = 0
-    return g
-
-
-def test_compose_with_quiescent_partner_preserves_shape():
-    system = _thermostat_system()
-    band = system.goals["band"]
-    game = ground(system.cfg, "h1", bad=band.holds)
-    prod = compose_environments(game, _trivial_partner())
-    # the product keeps only reachable turn-states
-    assert len(prod) <= len(game)
-    init_key = prod.states[prod.initial].key
-    assert solve_safety(prod).covers(init_key)
-    assert solve_safety(game).covers(game.states[game.initial].key)
-
-
-def test_compose_budget():
-    system = _thermostat_system()
-    game = ground(system.cfg, "h1")
-    with pytest.raises(StateBudgetExceeded):
-        compose_environments(game, _trivial_partner(), max_states=3)
-
-
-def test_compose_bad_is_disjunction():
-    g = _hand_game()
-    g.initial = 0
-    prod = compose_environments(g, _trivial_partner())
-    flags = {s.key: s.bad for s in prod.states}
-    assert any(flags.values())
-
-
 # -- finite-horizon planning -------------------------------------------------
 
 
@@ -452,6 +412,14 @@ def test_import_rejects_tampering():
         import_controller("\n".join(lines), game)
     with pytest.raises(InvariantViolation):
         import_controller("no header\n", game)
+    with pytest.raises(InvariantViolation, match="non-integer rank"):
+        import_controller("# controller-table v1\na0\tx\tgo\n")
+    # a rank on one winning state of a safety table leaves the rest unranked
+    ranked = export_controller(ctrl).splitlines()
+    key, _, lab = ranked[1].split("\t")
+    ranked[1] = f"{key}\t0\t{lab}"
+    with pytest.raises(InvariantViolation, match="unranked state"):
+        import_controller("\n".join(ranked), game)
 
 
 def test_reach_rank_export():
