@@ -110,8 +110,9 @@ class Scope:
     other owner is a component id.  With a configuration `cfg`, each name
     is checked against it as it is compiled, and one that denotes nothing
     raises `ValueError`: an undeclared owner, var, motif or type, a write
-    outside `self` when `self_only`, or a `create` that shadows a bound
-    name.  Without one nothing is checked.
+    outside `self` when `self_only`, a `create` that shadows a bound
+    name, or a map lookup that names no motif where no name is bound
+    (`lookup`).  Without one nothing is checked.
     """
 
     __slots__ = ("bound", "cfg", "self_only")
@@ -135,6 +136,16 @@ class Scope:
         if mid is not None and self.cfg is not None and mid not in self.cfg.motifs:
             raise ValueError(f"unknown motif {mid!r}")
         return mid
+
+    def lookup(self, e):
+        """The motif of the map lookup `e` (`@`, `placed`, `empty`,
+        `distance` or `succ`).  Only a rule runs in a motif: every rule
+        binds `self` or a required participant, so a scope that binds no
+        name is a goal's or a check's, and each of its lookups must name
+        its motif."""
+        if e.motif is None and self.cfg is not None and not self.bound:
+            raise ValueError(f"map lookup {e.unparse()} names no motif")
+        return self.motif(e.motif)
 
     def bind(self, name, tname):
         """Bind the name a `create` gives its component, for the effects
@@ -191,6 +202,13 @@ class Scope:
                 raise UnboundParam(name)
             return comp
         return get
+
+
+def _call(name, args, motif):
+    """The text `name(args)` of a map lookup, its motif last if named."""
+    if motif is not None:
+        args = [*args, motif]
+    return f"{name}({', '.join(args)})"
 
 
 def _motif_of(ctx, motif_name):
@@ -263,13 +281,11 @@ class AddrRef(Expr):
         self.motif = motif
 
     def unparse(self):
-        if self.motif is None:
-            return f"@({self.owner})"
-        return f"@({self.owner}, {self.motif})"
+        return _call("@", [self.owner], self.motif)
 
     def _compile(self, scope):
         get = scope.owner(self.owner)
-        motif = scope.motif(self.motif)
+        motif = scope.lookup(self)
 
         def run(ctx):
             cid = get(ctx)
@@ -282,20 +298,16 @@ class AddrRef(Expr):
         return run
 
 
-class Placed(Expr):
-    __slots__ = ("owner", "motif")
+class Placed(AddrRef):
+    """True iff the owner has an address: the lookup of `@` as a test."""
 
-    def __init__(self, owner, motif=None):
-        self.owner = owner
-        self.motif = motif
+    __slots__ = ()
 
     def unparse(self):
-        if self.motif is None:
-            return f"placed({self.owner})"
-        return f"placed({self.owner}, {self.motif})"
+        return _call("placed", [self.owner], self.motif)
 
     def _compile(self, scope):
-        addr = AddrRef(self.owner, self.motif)._compile(scope)
+        addr = super()._compile(scope)
 
         def run(ctx):
             try:
@@ -338,13 +350,11 @@ class Empty(Expr):
         self.motif = motif
 
     def unparse(self):
-        if self.motif is None:
-            return f"empty({self.node.unparse()})"
-        return f"empty({self.node.unparse()}, {self.motif})"
+        return _call("empty", [self.node.unparse()], self.motif)
 
     def _compile(self, scope):
         node = self.node._compile(scope)
-        motif = scope.motif(self.motif)
+        motif = scope.lookup(self)
 
         def run(ctx):
             try:
@@ -374,14 +384,12 @@ class Distance(Expr):
         self.motif = motif
 
     def unparse(self):
-        if self.motif is None:
-            return f"distance({self.a.unparse()}, {self.b.unparse()})"
-        return f"distance({self.a.unparse()}, {self.b.unparse()}, {self.motif})"
+        return _call("distance", [self.a.unparse(), self.b.unparse()], self.motif)
 
     def _compile(self, scope):
         fa = self.a._compile(scope)
         fb = self.b._compile(scope)
-        motif = scope.motif(self.motif)
+        motif = scope.lookup(self)
 
         def run(ctx):
             a = fa(ctx)
@@ -402,13 +410,11 @@ class Succ(Expr):
         self.motif = motif
 
     def unparse(self):
-        if self.motif is None:
-            return f"succ({self.node.unparse()})"
-        return f"succ({self.node.unparse()}, {self.motif})"
+        return _call("succ", [self.node.unparse()], self.motif)
 
     def _compile(self, scope):
         node = self.node._compile(scope)
-        motif = scope.motif(self.motif)
+        motif = scope.lookup(self)
 
         def run(ctx):
             n = node(ctx)
@@ -558,8 +564,10 @@ class Unary(Expr):
 TRUE = Lit(True)
 
 
-def compile_guard(expr, scope):
-    """Compile a guard; references to unbound optionals yield False."""
+def compile_guard(expr, scope, what="guard"):
+    """Compile a guard, or the predicate of a goal or check, `what` in an
+    error: references to unbound optionals yield False, and a value that
+    is not boolean is an `EvalError`."""
     f = expr.compile(scope)
 
     def run(ctx):
@@ -568,6 +576,6 @@ def compile_guard(expr, scope):
         except UnboundParam:
             return False
         if not isinstance(v, bool):
-            raise EvalError(f"guard is not boolean: {v!r}")
+            raise EvalError(f"{what} is not boolean: {v!r}")
         return v
     return run

@@ -1,7 +1,14 @@
-"""Goal vocabulary shared by the planner and the agent runtime."""
+"""Goal vocabulary shared by the planner and the agent runtime.
+
+A goal's predicate is compiled like a guard (`expr.compile_guard`): it
+is boolean, a reference to an unbound optional is false, and any other
+value is an `EvalError` naming the goal.  A utility scores 0 where it
+is undefined or fails to evaluate.  Goals are evaluated in no motif, so
+`Model.build` rejects a goal whose map lookup names no motif.
+"""
 
 from .errors import EvalError
-from .expr import Ctx, Scope, UnboundParam
+from .expr import UNDEF, Ctx, Scope, UnboundParam, compile_guard
 
 CRITICAL = "critical"
 BEST_EFFORT = "best_effort"
@@ -47,7 +54,8 @@ class Goal:
         name they use against it (`Scope`)."""
         scope = Scope(cfg=cfg)
         if self.predicate is not None:
-            self._pred_c = self.predicate.compile(scope)
+            self._pred_c = compile_guard(self.predicate, scope,
+                                         f"goal {self.name!r}")
         if self.utility is not None:
             self._util_c = self.utility.compile(scope)
 
@@ -55,20 +63,18 @@ class Goal:
         """Evaluate the avoid/reach predicate on a configuration."""
         if self._pred_c is None:
             self.compile()
-        try:
-            return bool(self._pred_c(Ctx(cfg)))
-        except UnboundParam:
-            return False
+        return self._pred_c(Ctx(cfg))
 
     def score(self, cfg):
-        """Evaluate the utility expression on a configuration."""
+        """Evaluate the utility expression on a configuration; an unbound
+        parameter, an evaluation error and an undefined address score 0."""
         if self._util_c is None:
             self.compile()
         try:
             v = self._util_c(Ctx(cfg))
         except (UnboundParam, EvalError):
             return 0
-        return v
+        return 0 if v is UNDEF else v
 
     def sort_key(self):
         return (0 if self.criticality == CRITICAL else 1, self.priority, self.order)

@@ -2,6 +2,12 @@
 
 `parse` is total: any input yields either a model that builds or one
 error diagnostic, never a crash or a partial model.
+
+Each token idiom of the grammar has one `Parser` helper: `accept` and
+`accept_kw` take an optional token, `one_of` a required keyword,
+`listed` a comma-separated list of one or more items, `motif_tail` a
+builtin's optional `, motif` and closing `)`, and `inits` a
+`{ var = value; ... }` block.
 """
 
 import re
@@ -14,10 +20,9 @@ from ..expr import (
 )
 from ..model import BoolDomain, EnumDomain, IntRange, RealRange, VarDecl
 from ..rules import (
-    Assign, Create, Delete, Exchange, Join, Leave, MapEdit, MigrateEffect,
-    Move,
+    CONFIG, DYNAMICS, INTERACTION, Assign, Create, Delete, Exchange, Join,
+    Leave, MapEdit, MigrateEffect, Move, Param,
 )
-from ..rules import CONFIG, DYNAMICS, INTERACTION
 from .syntax import (
     ERROR, AgentDef, CheckDef, CompDef, CtrlDef, Diagnostic, GoalDef,
     MapSpecDef, Model, MotifDef, ParseError, RuleDef, ScenarioDef, SensorDef,
@@ -78,6 +83,13 @@ def tokenize(text):
 
 _CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
 
+#: The builtins over node expressions, with an optional motif.
+_NODE_FNS = {"distance": Distance, "empty": Empty, "succ": Succ}
+
+#: The argument counts of each map edit.
+_MAP_EDITS = {"addnode": (1,), "removenode": (1,), "addedge": (2, 3),
+              "removeedge": (2,)}
+
 
 class Parser:
     def __init__(self, text):
@@ -89,14 +101,14 @@ class Parser:
     def peek(self, k=0):
         return self.tokens[min(self.i + k, len(self.tokens) - 1)]
 
-    def at(self, kind, value=None):
-        t = self.peek()
-        if t.kind != kind:
-            return False
-        return value is None or t.value == value
+    # `self.i` never passes the final eof token, so `self.tokens[self.i]`
+    # is `self.peek()`, without the call
+
+    def at(self, kind):
+        return self.tokens[self.i].kind == kind
 
     def at_kw(self, *words):
-        t = self.peek()
+        t = self.tokens[self.i]
         return t.kind == "ident" and t.value in words
 
     def next(self):
@@ -105,36 +117,52 @@ class Parser:
             self.i += 1
         return t
 
+    def accept(self, kind):
+        """The next token, consumed, if it is of `kind`; else None."""
+        return self.next() if self.tokens[self.i].kind == kind else None
+
+    def accept_kw(self, *words):
+        """The next token, consumed, if it is one of the keywords `words`;
+        else None."""
+        t = self.tokens[self.i]
+        return self.next() if t.kind == "ident" and t.value in words else None
+
     def fail(self, msg, tok=None):
         t = tok or self.peek()
         raise ParseError(t.line, t.col, msg)
 
-    def expect(self, kind, value=None):
+    def expected(self, what):
+        """Fail at the next token, where `what` was expected."""
         t = self.peek()
-        if t.kind != kind or (value is not None and t.value != value):
-            want = value if value is not None else kind
-            got = t.value if t.value is not None else t.kind
-            self.fail(f"expected {want!r}, got {got!r}")
+        got = t.value if t.value is not None else t.kind
+        self.fail(f"expected {what}, got {got!r}")
+
+    def expect(self, kind):
+        if self.tokens[self.i].kind != kind:
+            self.expected(repr(kind))
         return self.next()
 
     def expect_kw(self, word):
-        t = self.peek()
-        if t.kind != "ident" or t.value != word:
-            got = t.value if t.value is not None else t.kind
-            self.fail(f"expected {word!r}, got {got!r}")
+        if not self.at_kw(word):
+            self.expected(repr(word))
         return self.next()
 
+    def one_of(self, *words):
+        """The next token's text, consumed; it must be one of the keywords
+        `words`."""
+        t = self.accept_kw(*words)
+        if t is None:
+            quoted = [repr(w) for w in words]
+            self.fail(f"expected {', '.join(quoted[:-1])} or {quoted[-1]}")
+        return t.value
+
     def ident(self, what="identifier"):
-        t = self.peek()
-        if t.kind != "ident":
+        if self.tokens[self.i].kind != "ident":
             self.fail(f"expected {what}")
         return self.next().value
 
     def number(self, integer=False):
-        neg = False
-        if self.at("-"):
-            self.next()
-            neg = True
+        neg = self.accept("-")
         t = self.expect("number")
         v = -t.value if neg else t.value
         if integer and not isinstance(v, int):
@@ -142,32 +170,48 @@ class Parser:
         return v
 
     def node_id(self):
-        t = self.peek()
-        if t.kind == "number":
+        if self.at("number"):
             return self.number(integer=True)
         return self.ident("node id")
+
+    def listed(self, item, *args):
+        """One or more `item(*args)`, separated by commas."""
+        items = [item(*args)]
+        while self.accept(","):
+            items.append(item(*args))
+        return items
+
+    def motif_tail(self):
+        """A builtin's optional `, motif` and its closing `)`: the motif
+        name, or None."""
+        motif = self.ident("motif name") if self.accept(",") else None
+        self.expect(")")
+        return motif
+
+    def inits(self, value):
+        """A `{ var = value; ... }` block: its (var, value) pairs."""
+        self.expect("{")
+        inits = []
+        while not self.at("}"):
+            var = self.ident("variable name")
+            self.expect("=")
+            inits.append((var, value()))
+            self.expect(";")
+        self.expect("}")
+        return inits
 
     # -- model --------------------------------------------------------------
 
     def parse_model(self):
+        decls = {"type": self.typedecl, "motif": self.motifdecl,
+                 "component": self.compdecl, "goal": self.goaldecl,
+                 "agent": self.agentdecl, "scenario": self.scenariodecl}
         model = Model()
         while not self.at("eof"):
             t = self.peek()
-            if self.at_kw("type"):
-                model.add(self.typedecl())
-            elif self.at_kw("motif"):
-                model.add(self.motifdecl())
-            elif self.at_kw("component"):
-                model.add(self.compdecl())
-            elif self.at_kw("goal"):
-                model.add(self.goaldecl())
-            elif self.at_kw("agent"):
-                model.add(self.agentdecl())
-            elif self.at_kw("scenario"):
-                model.add(self.scenariodecl())
-            else:
-                got = t.value if t.value is not None else t.kind
-                self.fail(f"expected a declaration, got {got!r}")
+            if t.kind != "ident" or t.value not in decls:
+                self.expected("a declaration")
+            model.add(decls[t.value]())
         return model
 
     # -- types --------------------------------------------------------------
@@ -175,23 +219,18 @@ class Parser:
     def typedecl(self):
         pos = self.expect_kw("type")
         name = self.ident("type name")
-        t = self.peek()
-        if not self.at_kw("object", "agent"):
-            self.fail("expected 'object' or 'agent'")
-        kind = self.next().value
+        kind = self.one_of("object", "agent")
         self.expect("{")
         vardecls = []
         dynamics = []
         controller = None
         while not self.at("}"):
-            if self.at_kw("var"):
-                self.next()
+            if self.accept_kw("var"):
                 vname = self.ident("variable name")
                 self.expect(":")
                 vardecls.append(VarDecl(vname, self.domain()))
                 self.expect(";")
-            elif self.at_kw("dynamics"):
-                self.next()
+            elif self.accept_kw("dynamics"):
                 self.expect("{")
                 while not self.at("}"):
                     dynamics.append(self.ruledecl(DYNAMICS))
@@ -205,63 +244,42 @@ class Parser:
                        pos=(pos.line, pos.col))
 
     def domain(self):
-        if self.at_kw("bool"):
-            self.next()
+        if self.accept_kw("bool"):
             return BoolDomain()
-        if self.at_kw("int"):
-            self.next()
-            self.expect("[")
-            lo = self.number(integer=True)
-            self.expect(",")
-            hi = self.number(integer=True)
-            self.expect("]")
-            try:
-                return IntRange(lo, hi)
-            except ValueError as e:
-                self.fail(str(e))
-        if self.at_kw("real"):
-            self.next()
-            self.expect("[")
-            lo = self.number()
-            self.expect(",")
-            hi = self.number()
-            self.expect("]")
-            step = Fraction(1, 10)
-            if self.at_kw("step"):
-                self.next()
-                step = self.number()
-            try:
+        try:
+            if self.accept_kw("int"):
+                return IntRange(*self.bounds(integer=True))
+            if self.accept_kw("real"):
+                lo, hi = self.bounds()
+                step = self.number() if self.accept_kw("step") else Fraction(1, 10)
                 return RealRange(lo, hi, step)
-            except ValueError as e:
-                self.fail(str(e))
-        if self.at_kw("enum"):
-            self.next()
-            self.expect("{")
-            values = [self.ident("enumeration value")]
-            while self.at(","):
-                self.next()
-                values.append(self.ident("enumeration value"))
-            self.expect("}")
-            try:
+            if self.accept_kw("enum"):
+                self.expect("{")
+                values = self.listed(self.ident, "enumeration value")
+                self.expect("}")
                 return EnumDomain(values)
-            except ValueError as e:
-                self.fail(str(e))
+        except ValueError as e:  # the domain's own check
+            self.fail(str(e))
         self.fail("expected a domain (bool, int, real, enum)")
+
+    def bounds(self, integer=False):
+        self.expect("[")
+        lo = self.number(integer)
+        self.expect(",")
+        hi = self.number(integer)
+        self.expect("]")
+        return lo, hi
 
     def ctrlblock(self):
         self.expect_kw("controller")
         self.expect("{")
         self.expect_kw("modes")
-        modes = [self.ident("mode name")]
-        while self.at(","):
-            self.next()
-            modes.append(self.ident("mode name"))
+        modes = self.listed(self.ident, "mode name")
         self.expect_kw("init")
         init = self.ident("initial mode")
         self.expect(";")
         transitions = []
-        while self.at_kw("from"):
-            pos = self.next()
+        while pos := self.accept_kw("from"):
             frm = self.ident("mode name")
             self.expect_kw("to")
             to = self.ident("mode name")
@@ -274,67 +292,40 @@ class Parser:
     # -- rules --------------------------------------------------------------
 
     def ruledecl(self, kind=None):
-        if kind is None:
-            if self.at_kw("interaction"):
-                self.next()
-                kind = INTERACTION
-            elif self.at_kw("config"):
-                self.next()
-                kind = CONFIG
-            else:
-                self.fail("expected 'interaction' or 'config'")
+        kind = kind or self.one_of(INTERACTION, CONFIG)  # keyword = kind
         pos = self.expect_kw("rule")
         name = self.ident("rule name")
         params, guard, effects = self.rule_tail()
         return RuleDef(kind, name, params, guard, effects, pos=(pos.line, pos.col))
 
     def rule_tail(self):
-        from ..rules import Param
-        params = []
-        if self.at_kw("for"):
-            self.next()
-            while True:
-                pname = self.ident("parameter name")
-                required = True
-                if self.at("?"):
-                    self.next()
-                    required = False
-                self.expect(":")
-                ptype = self.ident("type name")
-                params.append(Param(pname, ptype, required))
-                if not self.at(","):
-                    break
-                self.next()
-        guard = None
-        if self.at_kw("if"):
-            self.next()
-            guard = self.expr()
-        effects = None
-        if self.at_kw("then"):
-            self.next()
+        params = self.listed(self.param) if self.accept_kw("for") else []
+        guard = self.expr() if self.accept_kw("if") else None
+        effects = []
+        if self.accept_kw("then"):
             self.expect("{")
-            effects = []
             while not self.at("}"):
                 effects.append(self.effect())
             self.expect("}")
-        if effects is None:
-            effects = []
+        else:
             self.expect(";")
         return params, guard, effects
 
+    def param(self):
+        name = self.ident("parameter name")
+        required = not self.accept("?")
+        self.expect(":")
+        return Param(name, self.ident("type name"), required)
+
     def effect(self):
         t = self.peek()
-        if self.at("@"):
-            self.next()
+        if self.accept("@"):
             self.expect("(")
             owner = self.ident()
             self.expect(")")
             self.expect(":=")
-            e = self.expr()
-            self.expect(";")
-            return Move(owner, e)
-        if self.at_kw("exchange"):
-            self.next()
+            e = Move(owner, self.expr())
+        elif self.accept_kw("exchange"):
             self.expect("(")
             o1 = self.ident()
             self.expect(".")
@@ -344,87 +335,55 @@ class Parser:
             self.expect(".")
             a2 = self.ident()
             self.expect(")")
-            self.expect(";")
-            return Exchange(o1, a1, o2, a2)
-        if self.at_kw("create"):
-            self.next()
+            e = Exchange(o1, a1, o2, a2)
+        elif self.accept_kw("create"):
             name = self.ident("fresh name")
             self.expect(":")
             tname = self.ident("type name")
-            motif = None
-            node = None
-            inits = []
-            if self.at_kw("in"):
-                self.next()
-                motif = self.ident("motif name")
-            if self.at_kw("at"):
-                self.next()
-                node = self.expr()
-            if self.at_kw("with"):
-                self.next()
-                self.expect("{")
-                while not self.at("}"):
-                    v = self.ident("variable name")
-                    self.expect("=")
-                    inits.append((v, self.expr()))
-                    self.expect(";")
-                self.expect("}")
-            self.expect(";")
-            return Create(name, tname, motif, node, inits)
-        if self.at_kw("delete"):
-            self.next()
+            motif = self.ident("motif name") if self.accept_kw("in") else None
+            node = self.expr() if self.accept_kw("at") else None
+            inits = self.inits(self.expr) if self.accept_kw("with") else []
+            e = Create(name, tname, motif, node, inits)
+        elif self.accept_kw("delete"):
             self.expect("(")
-            owner = self.ident()
+            e = Delete(self.ident())
             self.expect(")")
-            self.expect(";")
-            return Delete(owner)
-        if self.at_kw("join", "leave"):
+        elif self.at_kw("join", "leave"):
             op = self.next().value
             self.expect("(")
             owner = self.ident()
             self.expect(",")
             motif = self.ident("motif name")
             self.expect(")")
-            self.expect(";")
-            return Join(owner, motif) if op == "join" else Leave(owner, motif)
-        if self.at_kw("migrate"):
-            self.next()
+            e = Join(owner, motif) if op == "join" else Leave(owner, motif)
+        elif self.accept_kw("migrate"):
             self.expect("(")
             owner = self.ident()
             self.expect(",")
             src = self.ident("motif name")
             self.expect(",")
             dst = self.ident("motif name")
-            node = None
-            if self.at(","):
-                self.next()
-                node = self.expr()
+            node = self.expr() if self.accept(",") else None
             self.expect(")")
-            self.expect(";")
-            return MigrateEffect(owner, src, dst, node)
-        if self.at_kw("addnode", "removenode", "addedge", "removeedge"):
+            e = MigrateEffect(owner, src, dst, node)
+        elif self.at_kw(*_MAP_EDITS):
             op = self.next().value
             self.expect("(")
-            args = [self.expr()]
-            while self.at(","):
-                self.next()
-                args.append(self.expr())
+            e = MapEdit(op, self.listed(self.expr))
             self.expect(")")
-            self.expect(";")
-            want = {"addnode": (1,), "removenode": (1,), "addedge": (2, 3),
-                    "removeedge": (2,)}[op]
-            if len(args) not in want:
-                self.fail(f"{op} takes {' or '.join(map(str, want))} arguments", t)
-            return MapEdit(op, args)
-        if self.at("ident") and self.peek(1).kind == ".":
+        elif self.at("ident") and self.peek(1).kind == ".":
             owner = self.ident()
             self.expect(".")
             attr = self.ident()
             self.expect(":=")
-            e = self.expr()
-            self.expect(";")
-            return Assign(owner, attr, e)
-        self.fail("expected a command effect")
+            e = Assign(owner, attr, self.expr())
+        else:
+            self.fail("expected a command effect")
+        self.expect(";")
+        if isinstance(e, MapEdit) and len(e.args) not in _MAP_EDITS[e.op]:
+            want = " or ".join(map(str, _MAP_EDITS[e.op]))
+            self.fail(f"{e.op} takes {want} arguments", t)
+        return e
 
     # -- expressions --------------------------------------------------------
 
@@ -433,21 +392,18 @@ class Parser:
 
     def or_expr(self):
         e = self.and_expr()
-        while self.at_kw("or"):
-            self.next()
+        while self.accept_kw("or"):
             e = Binary("or", e, self.and_expr())
         return e
 
     def and_expr(self):
         e = self.not_expr()
-        while self.at_kw("and"):
-            self.next()
+        while self.accept_kw("and"):
             e = Binary("and", e, self.not_expr())
         return e
 
     def not_expr(self):
-        if self.at_kw("not"):
-            self.next()
+        if self.accept_kw("not"):
             return Unary("not", self.not_expr())
         return self.cmp_expr()
 
@@ -468,93 +424,49 @@ class Parser:
 
     def mul_expr(self):
         e = self.unary_expr()
-        while self.at("*"):
-            self.next()
+        while self.accept("*"):
             e = Binary("*", e, self.unary_expr())
         return e
 
     def unary_expr(self):
-        if self.at("-"):
-            self.next()
+        if self.accept("-"):
             return Unary("-", self.unary_expr())
         return self.primary()
 
     def primary(self):
         t = self.peek()
-        if t.kind == "number":
-            self.next()
+        if self.accept("number"):
             return Lit(t.value)
-        if self.at("("):
-            self.next()
+        if self.accept("("):
             e = self.expr()
             self.expect(")")
             return e
-        if self.at("@"):
-            self.next()
+        if self.accept("@"):
             self.expect("(")
-            owner = self.ident()
-            motif = None
-            if self.at(","):
-                self.next()
-                motif = self.ident("motif name")
-            self.expect(")")
-            return AddrRef(owner, motif)
+            return AddrRef(self.ident(), self.motif_tail())
         if t.kind != "ident":
             self.fail("expected an expression")
-        if t.value == "true":
-            self.next()
-            return Lit(True)
-        if t.value == "false":
-            self.next()
-            return Lit(False)
-        if t.value in ("distance", "empty", "placed", "succ", "member"):
-            fn = self.next().value
+        self.next()
+        if t.value in ("true", "false"):
+            return Lit(t.value == "true")
+        if t.value in _NODE_FNS:
             self.expect("(")
-            if fn == "distance":
-                a = self.expr()
+            args = [self.expr()]
+            if t.value == "distance":
                 self.expect(",")
-                b = self.expr()
-                motif = None
-                if self.at(","):
-                    self.next()
-                    motif = self.ident("motif name")
-                self.expect(")")
-                return Distance(a, b, motif)
-            if fn == "empty":
-                e = self.expr()
-                motif = None
-                if self.at(","):
-                    self.next()
-                    motif = self.ident("motif name")
-                self.expect(")")
-                return Empty(e, motif)
-            if fn == "succ":
-                e = self.expr()
-                motif = None
-                if self.at(","):
-                    self.next()
-                    motif = self.ident("motif name")
-                self.expect(")")
-                return Succ(e, motif)
-            if fn == "placed":
-                owner = self.ident()
-                motif = None
-                if self.at(","):
-                    self.next()
-                    motif = self.ident("motif name")
-                self.expect(")")
-                return Placed(owner, motif)
+                args.append(self.expr())
+            return _NODE_FNS[t.value](*args, self.motif_tail())
+        if t.value in ("placed", "member"):
+            self.expect("(")
             owner = self.ident()
-            self.expect(",")
-            motif = self.ident("motif name")
-            self.expect(")")
-            return Member(owner, motif)
-        name = self.next().value
+            if t.value == "member" and not self.at(","):
+                self.expect(",")  # a member test always names its motif
+            motif = self.motif_tail()
+            return Placed(owner, motif) if t.value == "placed" else Member(owner, motif)
         if self.at(".") and self.peek(1).kind == "ident":
             self.next()
-            attr = self.ident()
-            return VarRef(name, attr)
-        return Sym(name)
+            return VarRef(t.value, self.ident())
+        return Sym(t.value)
 
     # -- motifs -------------------------------------------------------------
 
@@ -580,8 +492,7 @@ class Parser:
             if k < 1:
                 self.fail(f"{kind} needs at least one node")
             return MapSpecDef(kind, (k,))
-        if self.at_kw("grid"):
-            self.next()
+        if self.accept_kw("grid"):
             self.expect("(")
             w = self.number(integer=True)
             self.expect(",")
@@ -592,29 +503,21 @@ class Parser:
             return MapSpecDef("grid", (w, h))
         self.expect("{")
         self.expect_kw("nodes")
-        nodes = [self.node_id()]
-        while self.at(","):
-            self.next()
-            nodes.append(self.node_id())
+        nodes = self.listed(self.node_id)
         self.expect(";")
         edges = []
-        if self.at_kw("edges"):
-            self.next()
-            while True:
-                a = self.node_id()
-                self.expect("->")
-                b = self.node_id()
-                w = 1
-                if self.at(":"):
-                    self.next()
-                    w = self.number(integer=True)
-                edges.append((a, b, w))
-                if not self.at(","):
-                    break
-                self.next()
+        if self.accept_kw("edges"):
+            edges = self.listed(self.edge)
             self.expect(";")
         self.expect("}")
         return MapSpecDef("custom", nodes=nodes, edges=edges)
+
+    def edge(self):
+        a = self.node_id()
+        self.expect("->")
+        b = self.node_id()
+        w = self.number(integer=True) if self.accept(":") else 1
+        return a, b, w
 
     # -- components ---------------------------------------------------------
 
@@ -623,23 +526,11 @@ class Parser:
         cid = self.ident("component id")
         self.expect(":")
         tname = self.ident("type name")
-        inits = []
-        if self.at("{"):
-            self.next()
-            while not self.at("}"):
-                v = self.ident("variable name")
-                self.expect("=")
-                inits.append((v, self.literal()))
-                self.expect(";")
-            self.expect("}")
+        inits = self.inits(self.literal) if self.at("{") else []
         placements = []
-        while self.at_kw("in"):
-            self.next()
+        while self.accept_kw("in"):
             motif = self.ident("motif name")
-            node = None
-            if self.at_kw("at"):
-                self.next()
-                node = self.node_id()
+            node = self.node_id() if self.accept_kw("at") else None
             placements.append((motif, node))
         self.expect(";")
         return CompDef(cid, tname, inits, placements, pos=(pos.line, pos.col))
@@ -648,14 +539,10 @@ class Parser:
         t = self.peek()
         if t.kind == "number" or self.at("-"):
             return self.number()
-        if t.kind == "ident":
-            if t.value == "true":
-                self.next()
-                return True
-            if t.value == "false":
-                self.next()
-                return False
-            return self.next().value
+        if self.accept("ident"):
+            if t.value in ("true", "false"):
+                return t.value == "true"
+            return t.value
         self.fail("expected a literal value")
 
     # -- goals --------------------------------------------------------------
@@ -663,19 +550,12 @@ class Parser:
     def goaldecl(self):
         pos = self.expect_kw("goal")
         name = self.ident("goal name")
-        if not self.at_kw("critical", "best_effort"):
-            self.fail("expected 'critical' or 'best_effort'")
-        crit = self.next().value
-        if not self.at_kw("avoid", "reach", "utility"):
-            self.fail("expected 'avoid', 'reach' or 'utility'")
-        kind = self.next().value
+        crit = self.one_of("critical", "best_effort")
+        kind = self.one_of("avoid", "reach", "utility")
         self.expect("(")
         expr = self.expr()
         self.expect(")")
-        priority = 0
-        if self.at_kw("priority"):
-            self.next()
-            priority = self.number(integer=True)
+        priority = self.number(integer=True) if self.accept_kw("priority") else 0
         self.expect(";")
         return GoalDef(name, crit, kind, expr, priority, pos=(pos.line, pos.col))
 
@@ -694,27 +574,19 @@ class Parser:
         while not self.at("}"):
             if self.at_kw("sensor"):
                 sensor = self.sensorblock()
-            elif self.at_kw("goals"):
-                self.next()
-                goals.append(self.ident("goal name"))
-                while self.at(","):
-                    self.next()
-                    goals.append(self.ident("goal name"))
+            elif self.accept_kw("goals"):
+                goals += self.listed(self.ident, "goal name")
                 self.expect(";")
-            elif self.at_kw("horizon"):
-                self.next()
+            elif self.accept_kw("horizon"):
                 horizon = self.number(integer=True)
                 self.expect(";")
-            elif self.at_kw("recovery"):
-                self.next()
+            elif self.accept_kw("recovery"):
                 recovery = self.ident("goal name")
                 self.expect(";")
-            elif self.at_kw("pattern"):
-                self.next()
+            elif self.accept_kw("pattern"):
                 patterns.append(self.ident("pattern name"))
                 self.expect(";")
-            elif self.at_kw("thresholds"):
-                self.next()
+            elif self.accept_kw("thresholds"):
                 self.expect("{")
                 while not self.at("}"):
                     key = self.ident("threshold name")
@@ -736,52 +608,33 @@ class Parser:
         see = []
         noise = []
         while not self.at("}"):
-            if self.at_kw("motif"):
-                self.next()
+            if self.accept_kw("motif"):
                 sensor.motif = self.ident("motif name")
-                self.expect(";")
-            elif self.at_kw("radius"):
-                self.next()
-                if self.at_kw("inf"):
-                    self.next()
-                    sensor.radius = "inf"
-                else:
-                    sensor.radius = self.number(integer=True)
-                self.expect(";")
-            elif self.at_kw("see"):
-                self.next()
+            elif self.accept_kw("radius"):
+                sensor.radius = ("inf" if self.accept_kw("inf")
+                                 else self.number(integer=True))
+            elif self.accept_kw("see"):
                 tname = self.ident("type name")
                 attrs = None
-                if self.at("["):
-                    self.next()
+                if self.accept("["):
                     attrs = []
                     while not self.at("]"):
                         attrs.append(self.ident("variable name"))
-                        if self.at(","):
-                            self.next()
+                        self.accept(",")
                     self.expect("]")
                 see.append((tname, attrs))
-                self.expect(";")
-            elif self.at_kw("identity"):
-                self.next()
-                if not self.at_kw("on", "off"):
-                    self.fail("expected 'on' or 'off'")
-                sensor.identity = self.next().value == "on"
-                self.expect(";")
-            elif self.at_kw("noise"):
-                self.next()
+            elif self.accept_kw("identity"):
+                sensor.identity = self.one_of("on", "off") == "on"
+            elif self.accept_kw("noise"):
                 tname = self.ident("type name")
                 self.expect(".")
                 var = self.ident("variable name")
-                sd = self.number()
-                noise.append((tname, var, Fraction(sd)))
-                self.expect(";")
-            elif self.at_kw("detect"):
-                self.next()
+                noise.append((tname, var, Fraction(self.number())))
+            elif self.accept_kw("detect"):
                 sensor.detect = Fraction(self.number())
-                self.expect(";")
             else:
                 self.fail("expected a sensor item")
+            self.expect(";")
         self.expect("}")
         sensor.see = see
         sensor.noise = noise
@@ -795,49 +648,37 @@ class Parser:
         sc = ScenarioDef(pos=(pos.line, pos.col))
         checks = []
         while not self.at("}"):
-            if self.at_kw("steps"):
-                self.next()
+            if self.accept_kw("steps"):
                 sc.steps = self.number(integer=True)
-                self.expect(";")
-            elif self.at_kw("seed"):
-                self.next()
+            elif self.accept_kw("seed"):
                 sc.seed = self.number(integer=True)
-                self.expect(";")
-            elif self.at_kw("policy"):
-                self.next()
-                if self.at_kw("script"):
-                    self.next()
+            elif self.accept_kw("policy"):
+                if self.accept_kw("script"):
                     sc.policy = "script"
                     self.expect("(")
                     script = []
                     while not self.at(")"):
                         name = self.ident("rule name")
-                        if self.at("/"):  # <motif>/<rule>
-                            self.next()
+                        if self.accept("/"):  # <motif>/<rule>
                             name += "/" + self.ident("rule name")
                         script.append(name)
-                        if self.at(","):
-                            self.next()
+                        self.accept(",")
                     self.expect(")")
                     sc.script = script
                 elif self.at_kw("random", "round_robin"):
                     sc.policy = self.next().value
                 else:
                     self.fail("expected a scheduler policy")
-                self.expect(";")
-            elif self.at_kw("check"):
-                pos = self.next()
+            elif pos := self.accept_kw("check"):
                 name = self.ident("check name")
-                if not self.at_kw("always", "finally"):
-                    self.fail("expected 'always' or 'finally'")
-                when = self.next().value
+                when = self.one_of("always", "finally")
                 self.expect("(")
                 expr = self.expr()
                 self.expect(")")
-                self.expect(";")
                 checks.append(CheckDef(name, when, expr, pos=(pos.line, pos.col)))
             else:
                 self.fail("expected a scenario item")
+            self.expect(";")
         self.expect("}")
         sc.checks = checks
         return sc

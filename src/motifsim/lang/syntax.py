@@ -7,8 +7,10 @@ sensor and agent tables the simulator consumes.  Building is the one
 check of a model's names, values and structure: the engine's
 constructors reject what has no meaning, every rule, goal and check is
 compiled through a `Scope` over the built configuration, which rejects a
-name that denotes nothing, and `_at` turns either rejection into an
-error at the declaration's position.
+name that denotes nothing and a goal's or check's map lookup that names
+no motif, and `_at` turns either rejection into an error at the
+declaration's position.  Each check keeps its compiled test for
+`sim.run`.
 """
 
 from contextlib import contextmanager
@@ -16,7 +18,7 @@ from fractions import Fraction
 
 from ..agents import DEFAULT_THRESHOLDS, SensorSpec, checked_thresholds
 from ..errors import EngineError
-from ..expr import TRUE, Binary, Scope, Sym, VarRef, fmt_num
+from ..expr import TRUE, Binary, Scope, Sym, VarRef, compile_guard, fmt_num
 from ..goals import UTILITY, Goal
 from ..model import (
     AGENT,
@@ -89,10 +91,6 @@ def _rule(rules, decl, where, *args):
     return rule
 
 
-def _fmt_node(n):
-    return str(n)
-
-
 def _fmt_value(v):
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -106,13 +104,12 @@ def _fmt_params(params):
         f"{p.name}{'' if p.required else '?'}: {p.type}" for p in params)
 
 
-def _fmt_rule_body(params, guard, effects, indent):
+def _fmt_rule_body(params, guard, effects):
     s = ""
     if params:
         s += f" for {_fmt_params(params)}"
     if guard is not None:
         s += f" if {guard.unparse()}"
-    pad = "  " * indent
     if effects:
         body = " ".join(f"{e.unparse()};" for e in effects)
         s += f" then {{ {body} }}"
@@ -148,7 +145,7 @@ class RuleDef:
         head = {INTERACTION: "interaction rule", CONFIG: "config rule",
                 DYNAMICS: "rule"}[self.kind]
         return f"{pad}{head} {self.name}" + _fmt_rule_body(
-            self.params, self.guard, self.effects, indent)
+            self.params, self.guard, self.effects)
 
     def to_rule(self, self_type=None):
         params = list(self.params)
@@ -172,7 +169,7 @@ class TransDef:
     def unparse(self, indent):
         pad = "  " * indent
         return (f"{pad}from {self.frm} to {self.to}"
-                + _fmt_rule_body(self.params, self.guard, self.effects, indent))
+                + _fmt_rule_body(self.params, self.guard, self.effects))
 
     def to_rule(self, self_type, idx, modes):
         for mode in (self.frm, self.to):
@@ -256,10 +253,10 @@ class MapSpecDef:
     def unparse(self):
         if self.kind != "custom":
             return f"{self.kind}({', '.join(str(a) for a in self.args)})"
-        parts = [f"nodes {', '.join(_fmt_node(n) for n in self.nodes)};"]
+        parts = [f"nodes {', '.join(map(str, self.nodes))};"]
         if self.edges:
             es = ", ".join(
-                f"{_fmt_node(a)} -> {_fmt_node(b)}" + (f": {w}" if w != 1 else "")
+                f"{a} -> {b}" + (f": {w}" if w != 1 else "")
                 for a, b, w in self.edges)
             parts.append(f"edges {es};")
         return "{ %s }" % " ".join(parts)
@@ -316,7 +313,7 @@ class CompDef:
         for motif, node in self.placements:
             s += f" in {motif}"
             if node is not None:
-                s += f" at {_fmt_node(node)}"
+                s += f" at {node}"
         return s + ";"
 
     def build(self, cfg):
@@ -460,6 +457,7 @@ class CheckDef:
         self.when = when  # "always" | "finally"
         self.expr = expr
         self.pos = pos
+        self.holds = None  # compiled by ScenarioDef.check: ctx -> bool
 
     def unparse(self, indent):
         pad = "  " * indent
@@ -489,12 +487,13 @@ class ScenarioDef:
 
     def check(self, cfg):
         """Check the steps, each check's names and the scripted rule names
-        against the built `cfg`."""
+        against the built `cfg`; each check keeps its compiled test."""
         if self.steps < 0:
             raise ValueError("steps must be nonnegative")
         for c in self.checks:
-            with _at(c, f"check {c.name!r}"):
-                c.expr.compile(Scope(cfg=cfg))
+            where = f"check {c.name!r}"
+            with _at(c, where):
+                c.holds = compile_guard(c.expr, Scope(cfg=cfg), where)
         if self.policy == "script":
             known = _rule_names(cfg)
             for name in self.script:

@@ -33,7 +33,7 @@ from functools import partial
 
 from .agents import AgentRuntime
 from .errors import EffectError, EngineError, ReplayDivergence
-from .expr import Ctx, Scope, UnboundParam
+from .expr import Ctx
 from .games import IDLE
 from .model import remember
 from .rules import CONTROLLER, step_candidates
@@ -282,8 +282,8 @@ class World:
 def _holds(fn, cfg):
     """A check's verdict at `cfg`: an evaluation error is a failure."""
     try:
-        return bool(fn(Ctx(cfg)))
-    except (EngineError, UnboundParam):
+        return fn(Ctx(cfg))
+    except EngineError:
         return False
 
 
@@ -300,7 +300,7 @@ def run(system, steps=None, seed=None, policy=None, controllers=None):
     world = World(system, seed=seed, policy=policy, controllers=controllers)
     trace = Trace({"model": _model_hash(system), "seed": seed,
                    "policy": policy, "steps": steps})
-    checks = [(cd, cd.expr.compile(Scope()), CheckResult(cd.name, cd.when))
+    checks = [(cd, cd.holds, CheckResult(cd.name, cd.when))
               for cd in (sc.checks if sc else ())]
     always = [(fn, res) for cd, fn, res in checks if cd.when == "always"]
     for res in world._failing(always):

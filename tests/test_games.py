@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 
 from motifsim import games, sim
-from motifsim.errors import InvariantViolation, NoSafePlan, StateBudgetExceeded
+from motifsim.errors import (
+    EvalError, InvariantViolation, NoSafePlan, StateBudgetExceeded,
+)
 from motifsim.games import (
     AGENT_TURN, ENV_TURN, Controller, GameModel, IDLE, PASS,
     export_controller, ground, import_controller, plan_horizon, solve_reach,
@@ -327,6 +329,13 @@ def test_plan_no_safe_plan():
         plan_horizon(system.cfg, "h1", [trap], 2)
 
 
+def test_non_boolean_goal_is_an_evaluation_error():
+    # a goal predicate is boolean like a guard, and not coerced
+    hot = _thermostat_goal("goal g critical avoid (room.temp);")
+    with pytest.raises(EvalError, match=r"^goal 'g' is not boolean: Fraction\(20, 1\)$"):
+        hot.holds(_thermostat_system().cfg)
+
+
 def test_no_safe_plan_names_a_missed_reach_goal():
     # no avoid goal at all: 17.0 is out of reach within two agent turns
     system = _thermostat_system()
@@ -381,6 +390,50 @@ def test_plan_best_effort_scores():
     assert plan.value is not None
     # the pessimistic value is a temperature the plan can actually keep
     assert plan.value[0] >= Fraction(35, 2)
+
+
+ROCKS = """\
+type rock object {
+  var n: int[0, 3];
+  dynamics {
+    rule tick if self.n < 2 then { self.n := self.n + 1; }
+  }
+}
+
+type eye agent {
+}
+
+motif pile {
+  map line(3);
+  config rule drop for r: rock if r.n = 2 then { leave(r, pile); }
+}
+
+component r1: rock { n = 2; } in pile at 0;
+
+component r2: rock in pile at 1;
+
+component e: eye in pile at 2;
+
+goal keep best_effort utility (@(r1, pile));
+
+agent e {
+  sensor { motif pile; see rock; }
+  goals keep;
+}
+"""
+
+
+def test_undefined_utility_scores_zero():
+    # once r1 has left the pile, `keep` is an undefined address on that
+    # branch: it scores 0, as an unbound parameter or an evaluation error
+    # does, for the planner and for a deliberative agent in a run
+    model, diags = parse(ROCKS)
+    assert model is not None, diags
+    system = model.build()
+    plan = plan_horizon(system.cfg, "e", [system.goals["keep"]], 1)
+    assert (plan.value, plan.first_action) == ((0,), "idle")
+    trace = sim.run(system, steps=5)
+    assert [e["rule"] for e in trace.events] == ["drop", "tick", "tick", "drop"]
 
 
 # -- controller tables -------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 import string
@@ -5,6 +6,8 @@ import string
 import pytest
 
 from motifsim.lang import parse, print_model
+from motifsim.lang.parser import Parser
+from motifsim.lang.syntax import ParseError
 from motifsim.scenarios import (
     PLATOON, SHUTTLE, SOCCER, THERMOSTAT, THERMOSTAT_DELIBERATIVE,
 )
@@ -349,7 +352,8 @@ def _agent(body, before=""):
 
 
 # each model with one name or scope error: the declaration's line and the
-# whole message
+# whole message; and each syntax error in a list or in a builtin's
+# arguments: its own line and the whole message
 NAME_ERRORS = [
     pytest.param("type t object {\n}", 12, "duplicate type 't'", id="dup-type"),
     pytest.param("motif m {\n  map line(1);\n}", 12, "duplicate motif 'm'",
@@ -451,6 +455,32 @@ NAME_ERRORS = [
                  "scenario: steps must be nonnegative", id="steps"),
     pytest.param("scenario {\n  steps 1;\n  check k always (c.x = 1);\n}", 14,
                  "check 'k': undeclared name 'c'", id="check-name"),
+    pytest.param(_motif_rule("config rule r for p: t if placed(p, m then { p.x := 1; }"),
+                 14, "expected ')', got 'then'", id="builtin-unclosed"),
+    pytest.param(_motif_rule("config rule r for p: t if member(p);"), 14,
+                 "expected ',', got ')'", id="member-without-motif"),
+    pytest.param(_motif_rule("config rule r for p: t if @(p, 1) = 0;"), 14,
+                 "expected motif name", id="address-motif-number"),
+    pytest.param(_motif_rule("config rule r for p: t if empty(0, 1);"), 14,
+                 "expected motif name", id="empty-motif-number"),
+    pytest.param("type u agent {\n  controller {\n    modes init p;\n  }\n}", 14,
+                 "expected 'init', got 'p'", id="empty-modes"),
+    pytest.param(_agent("  goals;\n"), 15, "expected goal name", id="empty-goals"),
+    pytest.param("motif n {\n  map { nodes 0, 1, ; };\n}", 13, "expected node id",
+                 id="nodes-trailing-comma"),
+    pytest.param("component c: t in m at 0;\n\ngoal g critical avoid (@(c) = 1);", 14,
+                 "goal 'g': map lookup @(c) names no motif", id="goal-address"),
+    pytest.param("goal g critical reach (succ(0) = 1);", 12,
+                 "goal 'g': map lookup succ(0) names no motif", id="goal-succ"),
+    pytest.param("goal g best_effort utility (distance(0, 1));", 12,
+                 "goal 'g': map lookup distance(0, 1) names no motif",
+                 id="utility-distance"),
+    pytest.param("component c: t in m at 0;\n\nscenario {\n  check k always"
+                 " (placed(c));\n}", 15,
+                 "check 'k': map lookup placed(c) names no motif", id="check-placed"),
+    pytest.param("scenario {\n  check k finally (empty(succ(0, m)));\n}", 13,
+                 "check 'k': map lookup empty(succ(0, m)) names no motif",
+                 id="check-empty"),
 ]
 
 
@@ -458,6 +488,16 @@ NAME_ERRORS = [
 def test_name_errors_are_one_diagnostic_at_the_declaration(extra, line, message):
     msgs = _errs(BASE + extra)
     assert [(d.line, d.message) for d in msgs] == [(line, message)]
+
+
+def test_lookups_outside_rules_build_when_they_name_their_motif():
+    # and a sensor that names no motif senses its agent's home motif
+    system = _ok(BASE + _agent(
+        "  sensor { see t; }\n  goals g;\n",
+        "component d: t in m at 0;\n\ngoal g critical avoid (@(d, m) = 1 and"
+        " placed(d, m) and empty(succ(0, m), m) and distance(0, 1, m) = 1);\n\n"
+    ) + "\n\nscenario {\n  check k always (member(d, m) and placed(d, m));\n}\n").build()
+    assert system.sensors["c"].motif == "m"
 
 
 def test_script_names_every_scheduled_rule():
@@ -491,12 +531,28 @@ def test_parser_is_total_on_garbage():
             print_model(model)
 
 
+def _raw_outcome(text):
+    """What the parser alone makes of `text`: its diagnostic, or the
+    canonical text of the model it parsed, unbuilt."""
+    try:
+        return print_model(Parser(text).parse_model())
+    except ParseError as e:
+        return str(e.diag)
+
+
+#: SHA-256 over the raw parser outcome of every mutant below, in order: a
+#: change to the parser that alters any diagnostic or printed text fails it
+MUTANT_OUTCOMES = (
+    "642f2a4ddbba467831c1ab1dc9f5bac6b2f3fb18a6497369d186736d5922e2f3")
+
+
 def test_parser_is_total_on_mutated_corpus():
     # character mutants, and identifier swaps: one identifier token replaced
     # by another identifier of the same text, which mostly still parses and
     # so reaches name resolution; a mutant `parse` accepts must build
     rng = random.Random(11)
     swap = random.Random(13)
+    digest = hashlib.sha256()
     for text in CORPUS:
         mutants = []
         for _ in range(20):
@@ -511,12 +567,14 @@ def test_parser_is_total_on_mutated_corpus():
             m = swap.choice(idents)
             mutants.append(text[:m.start()] + swap.choice(names) + text[m.end():])
         for mutant in mutants:
+            digest.update(_raw_outcome(mutant).encode() + b"\0")
             model, diags = parse(mutant)
             if model is None:
                 assert len(diags) == 1
             else:
                 assert diags == []
                 model.build()
+    assert digest.hexdigest() == MUTANT_OUTCOMES
 
 
 def test_unterminated_block_is_an_error():

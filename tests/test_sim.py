@@ -330,15 +330,10 @@ def test_engine_bugs_in_checks_propagate(when):
     system = _system(SHUTTLE)
     cd = system.scenario.checks[0]
 
-    class Broken:
-        unparse = cd.expr.unparse
+    def broken(ctx):
+        raise RuntimeError("engine bug")
 
-        def compile(self, params):
-            def run(ctx):
-                raise RuntimeError("engine bug")
-            return run
-
-    cd.expr, cd.when = Broken(), when
+    cd.holds, cd.when = broken, when
     with pytest.raises(RuntimeError):
         sim.run(system, steps=3)
 
@@ -374,6 +369,16 @@ def test_undefined_arithmetic_in_checks_fails_at_its_step():
     near, ends = trace.checks
     assert (near.ok, near.first_fail) == (False, 2)
     assert (ends.ok, ends.first_fail) == (False, 3)
+
+
+def test_non_boolean_check_fails_at_its_step():
+    # a check is boolean like a guard: a number is an evaluation error,
+    # which fails the check where it is evaluated, not a coerced verdict
+    system = _system(THERMOSTAT.replace(
+        "check inband always (room.temp >= 17.5 and room.temp <= 22.5)",
+        "check inband always (room.temp)"))
+    trace = sim.run(system, steps=3)
+    assert [(c.ok, c.first_fail) for c in trace.checks] == [(False, -1)]
 
 
 # -- the per-state record -----------------------------------------------------
