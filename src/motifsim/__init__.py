@@ -25,5 +25,5 @@ from .games import (  # noqa: F401
     solve_safety,
 )
 from .goals import Goal  # noqa: F401
-from .lang import parse, print_model  # noqa: F401
+from .lang import load, parse, print_model  # noqa: F401
 from .sim import World, replay, run  # noqa: F401

@@ -541,16 +541,20 @@ class AgentRuntime:
         """`decide`, memoized in the believed state's record under the ego
         (a `World`'s runtimes share their records), goal names and
         horizon; `_NO_PLAN` stands for `NoSafePlan` (the exception is not
-        kept: its traceback pins the planner's frames)."""
-        decided = record(self.records, cfg).decided
+        kept: its traceback pins the planner's frames).  The outcome is
+        stored through a second lookup: the plan's own listings may have
+        evicted the record the first one found."""
         key = (self.ego, tuple(g.name for g in goals), horizon)
-        if key not in decided:
-            try:
-                decided[key] = decide(cfg, goals, self.repo, self.ego, horizon,
-                                      self.records)
-            except NoSafePlan:
-                decided[key] = _NO_PLAN
-        return decided[key]
+        decided = record(self.records, cfg).decided
+        if key in decided:
+            return decided[key]
+        try:
+            label = decide(cfg, goals, self.repo, self.ego, horizon,
+                           self.records)
+        except NoSafePlan:
+            label = _NO_PLAN
+        record(self.records, cfg).decided[key] = label
+        return label
 
     def step(self, truth, step, seed):
         """perceive -> reflect -> adapt -> manage_goals -> decide.

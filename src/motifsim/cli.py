@@ -13,7 +13,7 @@ from . import sim
 from .errors import EngineError, NoSafePlan, StateBudgetExceeded
 from .games import export_controller, ground, plan_horizon, solve_reach, solve_safety
 from .goals import AVOID
-from .lang import parse
+from .lang import load
 
 OK = 0
 FAIL = 1
@@ -44,12 +44,12 @@ def _load(path):
     except OSError as e:
         print(f"cannot read {path}: {e}", file=sys.stderr)
         return None, USAGE
-    model, diags = parse(text)
+    system, diags = load(text)
     for d in diags:
         print(str(d), file=sys.stderr)
-    if model is None:
+    if system is None:
         return None, FAIL
-    return model.build(), OK
+    return system, OK
 
 
 def cmd_check(args):

@@ -101,15 +101,18 @@ class Scope:
     raises `ValueError`: an undeclared owner, var, motif or type, a write
     outside `self` when `self_only`, a `create` that shadows a bound
     name, or a map lookup that names no motif where no name is bound
-    (`lookup`).  Without one nothing is checked.
+    (`lookup`).  Without one nothing is checked.  The bound names that
+    `owner` and `component` resolve are kept in `resolved`: the names the
+    compiled closures read from the rule binding.
     """
 
-    __slots__ = ("bound", "cfg", "self_only")
+    __slots__ = ("bound", "cfg", "self_only", "resolved")
 
     def __init__(self, bound=(), cfg=None, self_only=False):
         self.bound = dict(bound)  # name -> type name
         self.cfg = cfg
         self.self_only = self_only
+        self.resolved = set()
         for tname in self.bound.values():
             self.type(tname)
 
@@ -162,6 +165,8 @@ class Scope:
         denotes; `attr` is the var it reads or writes."""
         self._check(name, attr, write)
         if name in self.bound:
+            self.resolved.add(name)
+
             def get(ctx):
                 cid = ctx.binding.get(name)
                 if cid is None:
@@ -175,6 +180,8 @@ class Scope:
         owner name reads."""
         self._check(name, attr, False)
         if name in self.bound:
+            self.resolved.add(name)
+
             def get(ctx):
                 cid = ctx.binding.get(name)
                 if cid is None:

@@ -682,19 +682,25 @@ class Parser:
         return sc
 
 
-def parse(text):
+def load(text):
     """Parse model text, then build it once.
 
-    Returns `(model, diagnostics)`: a model that builds and no
+    Returns `(system, diagnostics)`: the built `System` and no
     diagnostics, or None and one error diagnostic, for the first syntax
     error or else the first declaration, in build order, that
     `Model.build` rejects.
     """
     try:
-        model = Parser(text).parse_model()
-        model.build()
+        system = Parser(text).parse_model().build()
     except ParseError as e:
         return None, [e.diag]
     except RecursionError:
         return None, [Diagnostic(ERROR, 1, 1, "input nests too deeply")]
-    return model, []
+    return system, []
+
+
+def parse(text):
+    """`load`, returning `(model, diagnostics)`: the model that built, or
+    None and the diagnostic."""
+    system, diags = load(text)
+    return (None if system is None else system.model), diags

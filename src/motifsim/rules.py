@@ -1,7 +1,8 @@
 """Parametric interaction and configuration rules.
 
-The transition relation between configurations: binding enumeration,
-atomic rule application, and the global candidate list.  A `Candidate`
+The transition relation between configurations: binding enumeration
+through each rule's `BindingPlan`, atomic rule application, and the
+global candidate list.  A `Candidate`
 is one enabled rule instance on the configuration it was listed on, and
 `Candidate.fire()` is the one successor operation that the scheduler,
 replay, the game grounder and the planner share.  The command effects
@@ -11,7 +12,7 @@ map edits); `apply` runs them on a private clone.
 """
 
 from .errors import EffectError, EngineError
-from .expr import UNDEF, Ctx, Scope, UnboundParam, compile_guard
+from .expr import UNDEF, Binary, Ctx, Scope, UnboundParam, compile_guard
 from .model import AGENT, ComponentInstance
 
 INTERACTION = "interaction"
@@ -347,7 +348,7 @@ class Rule:
     """
 
     __slots__ = ("name", "kind", "params", "guard", "effects", "_guard_c",
-                 "_effects_c")
+                 "_effects_c", "_plan")
 
     def __init__(self, name, kind, params, guard, effects):
         self.name = name
@@ -367,16 +368,19 @@ class Rule:
                         f"interaction rule {name!r} may only assign/exchange")
         if kind in (INTERACTION, CONFIG) and not any(p.required for p in self.params):
             raise ValueError(f"rule {name!r} needs at least one required participant")
-        self._guard_c = self._effects_c = None
+        self._guard_c = self._effects_c = self._plan = None
 
     def compile(self, cfg=None):
-        """Compile the guard and the effects; with `cfg`, check every name
-        they use against it (`Scope`).  A name an effect's `create` binds
-        is visible to the effects after it, not to the guard."""
+        """Compile the guard, the effects and the `BindingPlan`; with
+        `cfg`, check every name they use against it (`Scope`).  A name an
+        effect's `create` binds is visible to the effects after it, not to
+        the guard.  `Model.build` calls this for every rule it builds; a
+        rule made by hand compiles on first use."""
         params = {p.name: p.type for p in self.params}
         self._guard_c = compile_guard(self.guard, Scope(params, cfg))
         body = Scope(params, cfg, self_only=self.kind in (DYNAMICS, CONTROLLER))
         self._effects_c = [e.compile(body) for e in self.effects]
+        self._plan = BindingPlan(self)
 
     def guard_fn(self):
         if self._guard_c is None:
@@ -388,6 +392,92 @@ class Rule:
             self.compile()
         return self._effects_c
 
+    def plan(self):
+        if self._plan is None:
+            self.compile()
+        return self._plan
+
+
+def _leading_test(conjuncts):
+    """The closure testing compiled conjuncts in order: False as soon as
+    one is False or raises `UnboundParam` (which `and` takes as False),
+    True if all are True, else None: a value that is not boolean, or
+    another exception.  Whatever a conjunct raises, the full guard raises
+    again at the same conjunct at every leaf below, and a subtree with no
+    leaf raised nothing before either, so such a test does not prune."""
+    def test(ctx):
+        try:
+            for f in conjuncts:
+                v = f(ctx)
+                if v is not True:
+                    return False if v is False else None
+        except UnboundParam:
+            return False
+        except Exception:
+            return None
+        return True
+    return test
+
+
+class BindingPlan:
+    """How `enabled_bindings` enumerates the bindings of one rule.
+
+    `fixed` is the name the caller pre-binds: `self`, for dynamics and
+    controller transitions.  `required` lists, per required parameter,
+    `(name, type, test)`; `optional` lists `(name, type)`.  The guard is
+    read as a left-nested `and` chain `c0 and c1 and ...`; the test of a
+    required parameter other than the last runs the longest leading run
+    of conjuncts whose bound names (`Scope.resolved`) are all bound once
+    that parameter is, `self` included, or is None when that run is no
+    longer than the previous parameter's.  So a conjunct is never tested
+    before one ahead of it in the chain, nor one that names an optional
+    parameter.  A subtree is skipped only when its test returns False:
+    every full guard below it is then False too, so no enabled binding,
+    order or raised error changes.
+    """
+
+    __slots__ = ("fixed", "required", "optional", "types")
+
+    def __init__(self, rule):
+        fixed = {"self"} if rule.kind in (DYNAMICS, CONTROLLER) else set()
+        free = [p for p in rule.params if p.name not in fixed]
+        required = [p for p in free if p.required]
+        self.fixed = frozenset(fixed)
+        self.optional = [(p.name, p.type) for p in free if not p.required]
+        self.types = list(dict.fromkeys(p.type for p in free))
+        self.required = [(p.name, p.type, None) for p in required]
+        if len(required) < 2:
+            return
+
+        chain = []
+        e = rule.guard
+        while isinstance(e, Binary) and e.op == "and":
+            chain.append(e.r)
+            e = e.l
+        chain.append(e)
+        chain.reverse()
+        # the leading conjuncts some test can run, compiled with their names
+        hoistable = fixed.union(p.name for p in required[:-1])
+        params = {p.name: p.type for p in rule.params}
+        leading = []
+        for c in chain:
+            scope = Scope(params)
+            f = c.compile(scope)
+            if not scope.resolved <= hoistable:
+                break
+            leading.append((f, scope.resolved))
+
+        bound = set(fixed)
+        run = 0
+        for i, p in enumerate(required[:-1]):
+            bound.add(p.name)
+            prev = run
+            while run < len(leading) and leading[run][1] <= bound:
+                run += 1
+            if run > prev:
+                test = _leading_test([f for f, _ in leading[:run]])
+                self.required[i] = (p.name, p.type, test)
+
 
 def enabled_bindings(cfg, motif_id, rule, fixed=None):
     """All enabled bindings of `rule` in `motif_id`, in deterministic order.
@@ -397,61 +487,66 @@ def enabled_bindings(cfg, motif_id, rule, fixed=None):
     Optional parameters are maximally extended: each is greedily bound to
     the first candidate that satisfies the guard, else omitted.
 
-    `fixed` pre-binds parameters (used for dynamics/controller `self`,
-    which need not be motif-member-checked).
+    `fixed` pre-binds `self` for dynamics and controller transitions
+    (which need not be motif-member-checked), and nothing else: the
+    names of the rule's `BindingPlan`.  The plan's tests skip the
+    subtrees whose leading guard conjuncts are already False; the full
+    guard, from `rule.guard_fn()`, runs on each complete binding.
     """
+    plan = rule.plan()
+    binding = dict(fixed) if fixed else {}
+    if binding.keys() != plan.fixed:
+        raise ValueError(f"rule {rule.name!r} pre-binds {sorted(plan.fixed)}, "
+                         f"not {sorted(binding)}")
     motif = cfg.motif(motif_id)
     guard = rule.guard_fn()
-    fixed = fixed or {}
-
-    by_param = {}
-    members = sorted(motif.members)
-    for p in rule.params:
-        if p.name in fixed:
-            continue
-        by_param[p.name] = [
-            cid for cid in members
-            if cid in cfg.components and cfg.components[cid].type.name == p.type
-        ]
-
-    required = [p for p in rule.params if p.required and p.name not in fixed]
-    optional = [p for p in rule.params if not p.required and p.name not in fixed]
-    ctx = Ctx(cfg, motif)
+    comps = cfg.components
+    members = sorted(motif.members) if plan.types else ()
+    of_type = {t: [cid for cid in members
+                   if cid in comps and comps[cid].type.name == t]
+               for t in plan.types}
+    required, optional = plan.required, plan.optional
+    ctx = Ctx(cfg, motif, binding)
+    used = set(binding.values())
     out = []
 
-    def extend_optionals(binding, used):
-        for p in optional:
-            for cid in by_param[p.name]:
-                if cid in used:
-                    continue
-                binding[p.name] = cid
-                ctx.binding = binding
-                if guard(ctx):
-                    used.add(cid)
-                    break
-                del binding[p.name]
-
-    def rec(i, binding, used):
-        if i == len(required):
-            binding = dict(binding)
-            used = set(used)
-            extend_optionals(binding, used)
-            ctx.binding = binding
+    def leaf():
+        if not optional:
             if guard(ctx):
-                out.append(binding)
+                out.append(dict(binding))
             return
-        p = required[i]
-        for cid in by_param[p.name]:
+        extended = ctx.binding = dict(binding)
+        taken = set(used)
+        for name, tname in optional:
+            for cid in of_type[tname]:
+                if cid in taken:
+                    continue
+                extended[name] = cid
+                if guard(ctx):
+                    taken.add(cid)
+                    break
+                del extended[name]
+        if guard(ctx):
+            out.append(extended)
+        ctx.binding = binding
+
+    def rec(i):
+        if i == len(required):
+            leaf()
+            return
+        name, tname, test = required[i]
+        for cid in of_type[tname]:
             if cid in used:
                 continue
-            binding[p.name] = cid
+            binding[name] = cid
+            if test is not None and test(ctx) is False:
+                continue
             used.add(cid)
-            rec(i + 1, binding, used)
+            rec(i + 1)
             used.discard(cid)
-            del binding[p.name]
+        binding.pop(name, None)
 
-    base = dict(fixed)
-    rec(0, base, set(base.values()))
+    rec(0)
     return out
 
 

@@ -6,7 +6,7 @@ model reproduces them byte for byte), which the round-trip tests rely
 on.
 """
 
-from .lang import parse
+from .lang import load
 
 THERMOSTAT = """\
 type heater agent {
@@ -174,15 +174,15 @@ class Scenario:
         self.seeds = tuple(seeds)
 
     def parse(self):
-        model, diags = parse(self.text)
-        if model is None:
-            raise ValueError(f"bundled scenario {self.name!r} does not parse: "
-                             + "; ".join(str(d) for d in diags))
-        return model
+        return self.build().model
 
     def build(self):
         """A fresh System (initial configuration is mutable run state)."""
-        return self.parse().build()
+        system, diags = load(self.text)
+        if system is None:
+            raise ValueError(f"bundled scenario {self.name!r} does not parse: "
+                             + "; ".join(str(d) for d in diags))
+        return system
 
 
 def scenario_thermostat():

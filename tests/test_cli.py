@@ -5,7 +5,7 @@ import pytest
 
 from motifsim.cli import main
 from motifsim.games import ground, import_controller
-from motifsim.lang import parse
+from motifsim.lang import Model, parse
 from motifsim.scenarios import PLATOON, SHUTTLE, THERMOSTAT
 
 
@@ -36,6 +36,21 @@ def test_check_exit_codes(models, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "nobody" in err
     assert main(["check", str(tmp_path / "missing.motif")]) == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["check"], ["simulate", "--steps", "5"]], ids=lambda c: c[0])
+def test_a_command_builds_its_model_once(models, monkeypatch, command):
+    builds = []
+    original = Model.build
+
+    def counted(self):
+        builds.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Model, "build", counted)
+    assert main([command[0], models["thermostat"], *command[1:]]) == 0
+    assert len(builds) == 1
 
 
 def test_unbuildable_model_fails_with_a_diagnostic(models, capsys):

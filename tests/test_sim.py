@@ -493,6 +493,29 @@ def test_deliberative_records_are_bounded(monkeypatch):
     assert decisions
 
 
+def test_a_decision_outlives_the_listings_of_its_plan(monkeypatch):
+    # the plan lists more states than a record bound of 2 keeps, evicting
+    # the record its decision was first looked up in
+    monkeypatch.setattr(model, "RECORDS", 2)
+    world = sim.World(_system(PLATOON_DELIBERATIVE), seed=0)
+    world.advance()
+    rt = world.runtimes["v1"]
+    planned = []
+    original = agents.plan_horizon
+
+    def counted(*args):
+        planned.append(args[0].state_hash())
+        return original(*args)
+
+    monkeypatch.setattr(agents, "plan_horizon", counted)
+    world._records.clear()
+    cfg, goals = rt.model.cfg, list(rt.active)
+    first = rt._decide(cfg, goals, rt.horizon)
+    assert len(planned) == 1
+    assert rt._decide(cfg, goals, rt.horizon) == first
+    assert len(planned) == 1
+
+
 def _count_listings(monkeypatch):
     """Count the state hashes listed through either name the engine
     lists candidates by: the scheduler's and the planner's."""
