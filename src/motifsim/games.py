@@ -191,7 +191,10 @@ def ground(cfg, ego, max_states=10000, bad=None, target=None):
     other components' candidates are uncontrollable.  The state budget
     `max_states` is the only bound: raises `StateBudgetExceeded` when it
     truncates the reachable space, signalling callers to plan on a
-    finite horizon instead.
+    finite horizon instead.  A configuration whose state hash was
+    reached before is the same state only if `Configuration.same_key`
+    confirms it; otherwise the hashes collide, and `InvariantViolation`
+    is raised rather than merging two states.
     """
     if ego not in cfg.components:
         raise KeyError(f"no ego component {ego!r}")
@@ -207,7 +210,7 @@ def ground(cfg, ego, max_states=10000, bad=None, target=None):
         w = c.state_hash()
         prev = worlds.get(w)
         if prev is not None:
-            if prev[0].canonical_key() != c.canonical_key():
+            if not prev[0].same_key(c):
                 raise InvariantViolation(f"state hash collision at {w!r}")
             return prev[1]
         if len(game.states) + 2 > max_states:

@@ -25,7 +25,9 @@ Checker*, 2003).  Address entries and counters take theirs from a
 bounded memo (`_entry_digest`).  A step thus pays one digest per
 component or motif it touched and one XOR per fragment; the untouched
 fragments are shared objects whose digest is cached.  A change made in
-place on a shared object would leave the hash stale.
+place on a shared object would leave the hash stale.  Equal hashes are
+confirmed fragment by fragment (`Configuration.same_key`), where a
+shared fragment is equal without a look.
 """
 
 import heapq
@@ -35,6 +37,7 @@ from hashlib import blake2b
 
 from .errors import (
     DomainError,
+    EffectError,
     NotAMember,
     UnknownComponent,
     UnknownEdge,
@@ -76,6 +79,14 @@ def _entry_digest(tag, entry):
 #: Returned by `Map.distance` when no directed path exists.  Comparisons
 #: against finite bounds behave as expected (``UNREACHABLE < k`` is false).
 UNREACHABLE = math.inf
+
+
+def check_node(n):
+    """Reject `n` as a map node unless it is an int or a str: an equal
+    value of another type (``1.0``, ``True``) would be the same node with
+    another text, so another state hash."""
+    if n.__class__ is not int and n.__class__ is not str:
+        raise EffectError(f"node {n!r} is not an int or a str")
 
 
 def node_sort_key(n):
@@ -574,6 +585,7 @@ class Configuration:
         m = self.motif(mid)
         if cid not in m.members:
             raise NotAMember(f"{cid!r} is not a member of {mid!r}")
+        check_node(n)
         if n not in m.map.nodes:
             raise UnknownNode(f"no node {n!r} in motif {mid!r}")
         self.addresses[(cid, mid)] = n
@@ -595,6 +607,23 @@ class Configuration:
             tuple(sorted(self.addresses.items())),
             tuple(sorted(self.counters.items())),
         )
+
+    def same_key(self, other):
+        """``self.canonical_key() == other.canonical_key()``, without
+        building either: the same component and motif ids, each fragment
+        the same object or of an equal `canonical()`, and equal addresses
+        and counters."""
+        if self.addresses != other.addresses or self.counters != other.counters:
+            return False
+        for mine, theirs in ((self.components, other.components),
+                             (self.motifs, other.motifs)):
+            if mine.keys() != theirs.keys():
+                return False
+            for k, a in mine.items():
+                b = theirs[k]
+                if a is not b and a.canonical() != b.canonical():
+                    return False
+        return True
 
     def state_hash(self):
         """The XOR of the digests of the canonical key's fragments, as 16

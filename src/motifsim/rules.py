@@ -13,7 +13,7 @@ map edits); `apply` runs them on a private clone.
 
 from .errors import EffectError, EngineError
 from .expr import UNDEF, Binary, Ctx, Scope, UnboundParam, compile_guard
-from .model import AGENT, ComponentInstance
+from .model import AGENT, ComponentInstance, check_node
 
 INTERACTION = "interaction"
 CONFIG = "config"
@@ -303,6 +303,7 @@ class MapEdit(Effect):
             mid = ctx.motif.id
             m = ctx.cfg._touch_motif(mid, copy_map=True)
             if op == "addnode":
+                check_node(vals[0])
                 m.map.add_node(vals[0])
             elif op == "removenode":
                 occ = ctx.cfg.occupied(mid, vals[0])
@@ -312,6 +313,8 @@ class MapEdit(Effect):
                 m.map.remove_node(vals[0])
             elif op == "addedge":
                 w = vals[2] if len(vals) > 2 else 1
+                check_node(vals[0])
+                check_node(vals[1])
                 m.map.add_edge(vals[0], vals[1], w)
             else:
                 m.map.remove_edge(vals[0], vals[1])
@@ -400,24 +403,69 @@ def _leading_test(conjuncts):
     return test
 
 
+def _level(name, tname, test, inner):
+    """The loop binding the required parameter `name` to each unbound
+    member of type `tname`, then running `inner` unless `test` is False;
+    with no `inner`, keeping the binding if the full guard holds.  The
+    call's state comes in as arguments: no closure holds it."""
+    def level(ctx, binding, of_type, guard, out):
+        bound = binding.values()
+        for cid in of_type[tname]:
+            if cid in bound:
+                continue
+            binding[name] = cid
+            if inner is None:
+                if guard(ctx):
+                    out.append(dict(binding))
+            elif test is None or test(ctx) is not False:
+                inner(ctx, binding, of_type, guard, out)
+        binding.pop(name, None)
+    return level
+
+
+def _leaf(optional):
+    """The enumeration's last step when the rule has `optional`
+    parameters: bind them greedily, then keep the binding if the full
+    guard holds."""
+    def leaf(ctx, binding, of_type, guard, out):
+        extended = ctx.binding = dict(binding)
+        taken = extended.values()
+        for name, tname in optional:
+            for cid in of_type[tname]:
+                if cid in taken:
+                    continue
+                extended[name] = cid
+                if guard(ctx):
+                    break
+                del extended[name]
+        if guard(ctx):
+            out.append(extended)
+        ctx.binding = binding
+    return leaf
+
+
 class BindingPlan:
     """How `enabled_bindings` enumerates the bindings of one rule.
 
     `fixed` is the name the caller pre-binds: `self`, for dynamics and
     controller transitions.  `required` lists, per required parameter,
     `(name, type, test)`; `optional` lists `(name, type)`.  The guard is
-    read as a left-nested `and` chain `c0 and c1 and ...`; the test of a
-    required parameter other than the last runs the longest leading run
-    of conjuncts whose bound names (`Scope.resolved`) are all bound once
-    that parameter is, `self` included, or is None when that run is no
-    longer than the previous parameter's.  So a conjunct is never tested
-    before one ahead of it in the chain, nor one that names an optional
+    read as a left-nested `and` chain `c0 and c1 and ...`.  `first`, run
+    once per call, tests its leading conjuncts that name no free
+    parameter (`Scope.resolved`: `self` and constants only), or is None.
+    The test of a required parameter other than the last runs the
+    conjuncts after those, up to the longest leading run whose names are
+    all bound once that parameter is, or is None when that run is no
+    longer than the one before.  So a conjunct is never tested before
+    one ahead of it in the chain, nor one that names an optional
     parameter.  A subtree is skipped only when its test returns False:
     every full guard below it is then False too, so no enabled binding,
-    order or raised error changes.
+    order or raised error changes.  `enum`, built here once, runs one
+    `_level` per required parameter, then the `_leaf` if there are
+    optional ones.
     """
 
-    __slots__ = ("fixed", "required", "optional", "types")
+    __slots__ = ("fixed", "required", "optional", "types", "first", "enum")
 
     def __init__(self, rule):
         fixed = {"self"} if rule.kind in (DYNAMICS, CONTROLLER) else set()
@@ -427,9 +475,16 @@ class BindingPlan:
         self.optional = [(p.name, p.type) for p in free if not p.required]
         self.types = list(dict.fromkeys(p.type for p in free))
         self.required = [(p.name, p.type, None) for p in required]
-        if len(required) < 2:
-            return
+        self.first = None
+        if free:
+            self._hoist(rule, fixed, required)
+        step = _leaf(self.optional) if self.optional else None
+        for name, tname, test in reversed(self.required):
+            step = _level(name, tname, test, step)
+        self.enum = step
 
+    def _hoist(self, rule, fixed, required):
+        """Set `first` and the tests in `required` from `rule`'s guard."""
         chain = []
         e = rule.guard
         while isinstance(e, Binary) and e.op == "and":
@@ -450,13 +505,18 @@ class BindingPlan:
 
         bound = set(fixed)
         run = 0
+        while run < len(leading) and leading[run][1] <= bound:
+            run += 1
+        if run:
+            self.first = _leading_test([f for f, _ in leading[:run]])
+        start = run
         for i, p in enumerate(required[:-1]):
             bound.add(p.name)
             prev = run
             while run < len(leading) and leading[run][1] <= bound:
                 run += 1
             if run > prev:
-                test = _leading_test([f for f, _ in leading[:run]])
+                test = _leading_test([f for f, _ in leading[start:run]])
                 self.required[i] = (p.name, p.type, test)
 
 
@@ -470,70 +530,43 @@ def enabled_bindings(cfg, motif_id, rule, fixed=None):
 
     `fixed` pre-binds `self` for dynamics and controller transitions
     (which need not be motif-member-checked), and nothing else: the
-    names of the rule's `BindingPlan`.  The plan's tests skip the
-    subtrees whose leading guard conjuncts are already False; the full
-    guard, from `rule.guard_fn()`, runs on each complete binding.
+    names of the rule's `BindingPlan`.  A rule with no free parameter
+    runs its guard once; any other runs its plan's `first` test, then
+    the plan's enumerator, which skips the subtrees whose leading guard
+    conjuncts are already False.  The full guard, from `rule.guard_fn()`,
+    runs on each complete binding.
     """
-    plan = rule.plan()
+    guard = rule.guard_fn()
+    plan = rule._plan
     binding = dict(fixed) if fixed else {}
     if binding.keys() != plan.fixed:
         raise ValueError(f"rule {rule.name!r} pre-binds {sorted(plan.fixed)}, "
                          f"not {sorted(binding)}")
-    motif = cfg.motif(motif_id)
-    guard = rule.guard_fn()
+    ctx = Ctx(cfg, cfg.motif(motif_id), binding)
+    if not plan.types:
+        return [binding] if guard(ctx) else []
+    held = True if plan.first is None else plan.first(ctx)
+    if held is False:
+        return []
     comps = cfg.components
-    members = sorted(motif.members) if plan.types else ()
-    of_type = {t: [cid for cid in members
-                   if cid in comps and comps[cid].type.name == t]
-               for t in plan.types}
-    required, optional = plan.required, plan.optional
-    ctx = Ctx(cfg, motif, binding)
-    used = set(binding.values())
+    members = sorted(ctx.motif.members)
+    of_type = {}
+    for t in plan.types:
+        of_type[t] = [cid for cid in members
+                      if cid in comps and comps[cid].type.name == t]
+    if held is None:
+        # the full guard raises where `first` stopped, on every complete
+        # binding: it runs on the first one, if the members make one
+        complete = dict(binding)
+        for name, tname, _ in plan.required:
+            cid = next((c for c in of_type[tname] if c not in complete.values()), None)
+            if cid is None:
+                return []
+            complete[name] = cid
+        guard(Ctx(cfg, ctx.motif, complete))
     out = []
-
-    def leaf():
-        if not optional:
-            if guard(ctx):
-                out.append(dict(binding))
-            return
-        extended = ctx.binding = dict(binding)
-        taken = set(used)
-        for name, tname in optional:
-            for cid in of_type[tname]:
-                if cid in taken:
-                    continue
-                extended[name] = cid
-                if guard(ctx):
-                    taken.add(cid)
-                    break
-                del extended[name]
-        if guard(ctx):
-            out.append(extended)
-        ctx.binding = binding
-
-    _extend(0, required, of_type, used, binding, ctx, leaf)
+    plan.enum(ctx, binding, of_type, guard, out)
     return out
-
-
-def _extend(i, required, of_type, used, binding, ctx, leaf):
-    """Bind the required parameters from the `i`-th on, in every way that
-    the plan's tests leave open, and call `leaf` on each full binding.  It
-    takes its state as arguments: a closure that calls itself would make a
-    reference cycle of every `enabled_bindings` call."""
-    if i == len(required):
-        leaf()
-        return
-    name, tname, test = required[i]
-    for cid in of_type[tname]:
-        if cid in used:
-            continue
-        binding[name] = cid
-        if test is not None and test(ctx) is False:
-            continue
-        used.add(cid)
-        _extend(i + 1, required, of_type, used, binding, ctx, leaf)
-        used.discard(cid)
-    binding.pop(name, None)
 
 
 def apply(cfg, motif_id, rule, binding):
@@ -606,6 +639,9 @@ def _agent_participants(cfg, binding):
     )
 
 
+_NO_OWNERS = frozenset()
+
+
 def step_candidates(cfg):
     """Every enabled rule, controller-transition and dynamics instance.
 
@@ -617,18 +653,19 @@ def step_candidates(cfg):
     cands = []
     for mid in sorted(cfg.motifs):
         motif = cfg.motifs[mid]
-        for rule in list(motif.interaction_rules) + list(motif.configuration_rules):
-            for binding in enabled_bindings(cfg, mid, rule):
-                cands.append(Candidate(
-                    cfg, mid, rule, binding, _agent_participants(cfg, binding),
-                    rule.kind))
+        for rules in (motif.interaction_rules, motif.configuration_rules):
+            for rule in rules:
+                for binding in enabled_bindings(cfg, mid, rule):
+                    cands.append(Candidate(
+                        cfg, mid, rule, binding, _agent_participants(cfg, binding),
+                        rule.kind))
         for cid in sorted(motif.members):
             comp = cfg.components[cid]
             ctrl = comp.type.controller if comp.type.kind == AGENT else None
             if ctrl is not None:
                 own, kind, owners = ctrl.transitions, CONTROLLER, frozenset([cid])
             else:
-                own, kind, owners = comp.type.dynamics, DYNAMICS, frozenset()
+                own, kind, owners = comp.type.dynamics, DYNAMICS, _NO_OWNERS
             for rule in own:
                 for binding in enabled_bindings(cfg, mid, rule, fixed={"self": cid}):
                     cands.append(Candidate(cfg, mid, rule, binding, owners, kind))

@@ -15,7 +15,11 @@ from motifsim.scenarios import THERMOSTAT_DELIBERATIVE, bundled
 from test_model import PLATOON_DELIBERATIVE
 
 # One rule per case the plan must get right; `c5` is placed nowhere, so
-# `@(c5)` is undefined and arithmetic on it an `EvalError`.
+# `@(c5)` is undefined and arithmetic on it an `EvalError`.  The bikes run
+# `shift`'s first test, which names only `self`, three ways: `k2`'s is
+# False, `k1`'s meets the non-boolean `self.gear - 1`, and `k3`, placed
+# nowhere, raises on `@(self) + self.gear`.  Then the guard raises on
+# every complete binding, even where no car passes `a.speed > 4`.
 SYNTHETIC = """\
 type car agent {
   var speed: int[0, 5];
@@ -37,6 +41,9 @@ type truck object {
 
 type bike object {
   var gear: int[0, 2];
+  dynamics {
+    rule shift for a: car, b: car if self.gear > 0 and @(self) + self.gear > 2 and self.gear - 1 and a.speed > 4 and b.speed < a.speed then { self.gear := 0; }
+  }
 }
 
 motif lane {
@@ -73,6 +80,10 @@ component c5: car { speed = 3; ok = false; } in lane;
 component t1: truck { load = 2; } in lane at 7;
 
 component k1: bike { gear = 1; } in fast at 3;
+
+component k2: bike { gear = 0; } in fast at 3;
+
+component k3: bike { gear = 1; } in fast;
 """
 
 MODELS = {sc.name: sc.text for sc in bundled()}
@@ -177,9 +188,10 @@ def test_the_synthetic_runs_cover_every_case():
     enabled = {rule for rule, outs in seen.items()
                if any(isinstance(o, list) and o for o in outs)}
     # the undefined address raises where `b` completes the binding, and
-    # nowhere where no bike is there to bind `k`; `a.speed` is no boolean
-    assert raised == {"risky", "later", "odd"}
-    assert not enabled & {"risky", "lonely", "later", "odd"}
+    # nowhere where no bike is there to bind `k`; `a.speed` is no boolean;
+    # `shift` raises once two cars are in `fast`
+    assert raised == {"risky", "later", "odd", "shift"}
+    assert not enabled & {"risky", "lonely", "later", "odd", "shift"}
     assert {"pair", "near", "watch", "late", "trio", "haul", "fill",
             "calm_to_eager_0", "eager_to_calm_1", "crash"} <= enabled
 
@@ -211,31 +223,78 @@ def _tests(model, name):
     ("platoon", "form", [True, False]),
     ("synthetic", "pair", [True, False]),  # optional `c` never hoisted
     ("synthetic", "near", [True, False]),  # constant `c3` is not a parameter
-    ("synthetic", "watch", [True, False]),
+    ("synthetic", "watch", [False, False]),  # `c3.ok` is tested first
     ("synthetic", "risky", [True, False]),
     ("synthetic", "late", [False, False]),  # `b` first blocks `a.speed > 3`
     ("synthetic", "later", [False, False]),
     ("synthetic", "odd", [True, False]),
     ("synthetic", "trio", [True, True, False]),
-    ("synthetic", "haul", [True, False]),  # fixed `self` is bound at level 0
+    ("synthetic", "haul", [True, False]),  # `self.load > 0` is tested first
     ("synthetic", "calm_to_eager_0", [True, False]),
     ("synthetic", "speedup", [False]),
+    ("synthetic", "shift", [True, False]),
 ])
 def test_leading_conjuncts_are_hoisted_in_chain_order(model, name, tests):
     assert _tests(model, name) == tests
 
 
+@pytest.mark.parametrize("model, name, first", [
+    ("platoon", "form", False),
+    ("thermostat", "cool", False),  # `h.mode = off` names a parameter
+    ("synthetic", "near", False),
+    ("synthetic", "watch", True),   # a constant only
+    ("synthetic", "haul", True),
+    ("synthetic", "fill", True),    # one required parameter
+    ("synthetic", "calm_to_eager_0", True),
+    ("synthetic", "shift", True),
+    ("synthetic", "eager_to_calm_1", False),  # no free parameter
+])
+def test_conjuncts_that_name_no_free_parameter_are_tested_first(model, name, first):
+    rule, = (r for r in _rules(_system(MODELS[model]).cfg) if r.name == name)
+    assert (rule.plan().first is not None) == first
+
+
 def test_a_transitions_mode_test_leads_its_guards_chain():
-    # `self.mode = calm` joins `a.speed > self.speed` in the level-0 test,
-    # so an `a` no faster than `self` is skipped before `b` is bound
+    # `self.mode = calm` is tested once per call, before level 0, and
+    # `a.speed > self.speed` at level 0, so an `a` no faster than `self`
+    # is skipped before `b` is bound
     cfg = _system(SYNTHETIC).cfg
     rule, = (r for r in _rules(cfg) if r.name == "calm_to_eager_0")
-    (_, _, test), _ = rule.plan().required
+    plan = rule.plan()
+    (_, _, test), _ = plan.required
     lane = cfg.motif("lane")
+    assert plan.first(Ctx(cfg, lane, {"self": "c1"})) is True
     assert test(Ctx(cfg, lane, {"self": "c1", "a": "c3"})) is True
     assert test(Ctx(cfg, lane, {"self": "c1", "a": "c2"})) is False
+    eager = cfg.clone()
+    eager._touch_component("c1").state["mode"] = "eager"
+    assert plan.first(Ctx(eager, lane, {"self": "c1"})) is False
+    assert enabled_bindings(eager, "lane", rule, {"self": "c1"}) == []
     assert rule.guard.unparse() == (
         "self.mode = calm and a.speed > self.speed and b.speed < a.speed")
+
+
+@pytest.mark.parametrize("bike, first, error", [
+    ("k2", False, None),
+    ("k1", None, "non-boolean operand of 'and': 0"),
+    ("k3", None, "arithmetic"),
+])
+def test_a_first_test_prunes_only_when_false(bike, first, error):
+    cfg = _system(SYNTHETIC).cfg
+    rules = {r.name: r for r in _rules(cfg)}
+    shift, fixed = rules["shift"], {"self": bike}
+    ctx = Ctx(cfg, cfg.motif("fast"), dict(fixed))
+    assert shift.plan().first(ctx) is first
+    # `c1` alone is in `fast`: no complete binding, so nothing raises
+    assert enabled_bindings(cfg, "fast", shift, fixed) == []
+    # with `c2` too, no car is faster than 4, so only `first` decides
+    cfg = apply(cfg, "lane", rules["enter"], {"a": "c2"})
+    want = _outcome(binding_oracle.enabled_bindings, cfg, "fast", shift, fixed)
+    assert _outcome(enabled_bindings, cfg, "fast", shift, fixed) == want
+    if error is None:
+        assert want == []
+    else:
+        assert want[0] is EvalError and error in want[1]
 
 
 def test_a_raising_leading_conjunct_raises_at_the_leaf_only():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from motifsim import games, load, sim
+from motifsim import games, load, model, sim
 from motifsim.errors import (
     EvalError, InvariantViolation, NoSafePlan, StateBudgetExceeded,
 )
@@ -273,6 +273,59 @@ def test_ground_unknown_ego():
     system = _thermostat_system()
     with pytest.raises(KeyError):
         ground(system.cfg, "nobody")
+
+
+def _unshared(cfg):
+    """An equal configuration that shares no component, motif or map."""
+    c = cfg.clone()
+    c.components = {k: v.copy() for k, v in cfg.components.items()}
+    c.motifs = {k: m.copy(copy_map=True, copy_members=True)
+                for k, m in cfg.motifs.items()}
+    return c
+
+
+def test_same_key_is_canonical_key_equality(monkeypatch):
+    reached, compared = [], []
+    listing, same_key = games.step_candidates, model.Configuration.same_key
+
+    def listed(cfg):
+        reached.append(cfg)
+        return listing(cfg)
+
+    def recorded(self, other):
+        got = same_key(self, other)
+        compared.append((self, other, got))
+        return got
+
+    monkeypatch.setattr(games, "step_candidates", listed)
+    monkeypatch.setattr(model.Configuration, "same_key", recorded)
+    _scenario_games()
+    monkeypatch.undo()
+    # every revisit `ground` confirmed, each a distinct object
+    assert compared and all(got for _, _, got in compared)
+    for a, b, got in compared:
+        assert a is not b and a.canonical_key() == b.canonical_key()
+    # pairs of reached states, which share fragments, and of a reached
+    # state against unshared copies of every reached state
+    copies = [_unshared(c) for c in reached]
+    grown = [c.clone() for c in reached]  # one more component, unaddressed
+    for g in grown:
+        extra = next(iter(g.components.values())).copy()
+        extra.id = "zz"
+        g.components["zz"] = extra
+    for a in reached:
+        for b in reached + copies + grown:
+            assert a.same_key(b) == (a.canonical_key() == b.canonical_key())
+    assert sum(a.same_key(b) for a in reached for b in copies) == len(reached)
+
+
+def test_a_state_hash_collision_is_an_invariant_violation(monkeypatch):
+    system = _thermostat_system()
+    monkeypatch.setattr(model.Configuration, "state_hash",
+                        lambda self: "0123456789abcdef")
+    with pytest.raises(InvariantViolation,
+                       match="state hash collision at '0123456789abcdef'"):
+        ground(system.cfg, "h1")
 
 
 # -- moves ---------------------------------------------------------------------

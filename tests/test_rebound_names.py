@@ -65,14 +65,18 @@ def test_callers_look_each_name_up_where_it_is_rebound(monkeypatch):
         counting(owner, attr)
     # a deliberative run exercises the scheduler and every agent phase;
     # its agent lists each state the scheduler enters first, so the
-    # scheduler's own listing is reached by a run without agents; the
-    # heater's revisited states make `ground` compare canonical keys
+    # scheduler's own listing is reached by a run without agents.  No
+    # engine path calls `canonical_key`: `ground` confirms a revisited
+    # state hash with `Configuration.same_key`, which builds no key.  The
+    # benchmark still rebinds it, and calls it in its own replay check,
+    # so it stays listed, but no call of it is required here.
     sim.run(_system(THERMOSTAT_DELIBERATIVE), steps=5).text()
     system = _system(THERMOSTAT)
     sim.run(system, steps=5)
     game = games.ground(system.cfg, "h1", bad=system.goals["band"].holds)
     games.solve_reach(game, within=games.solve_safety(game))
-    assert not [name for name, n in calls.items() if not n]
+    optional = {(model.Configuration, "canonical_key")}
+    assert not [name for name, n in calls.items() if not n and name not in optional]
 
 
 def test_ground_and_plan_list_candidates_through_games(monkeypatch):

@@ -435,6 +435,19 @@ def test_an_effect_that_fails_is_an_error_event(effects, error):
     assert [(e["binding"], e["error"]) for e in events] == [({"a": "c1"}, error)]
 
 
+@pytest.mark.parametrize("effects, error", [
+    ("@(a) := 1;", None),
+    ("@(a) := 1.0;", "node Fraction(1, 1) is not an int or a str"),
+    ("@(a) := true;", "node True is not an int or a str"),
+    ("addnode(7.0);", "node Fraction(7, 1) is not an int or a str"),
+    ("addedge(0, true);", "node True is not an int or a str"),
+], ids=["int", "real", "bool", "addnode-real", "addedge-bool"])
+def test_a_node_is_an_int_or_a_str(effects, error):
+    # 1.0 and true equal node 1, but would hash unlike it
+    events = _first_step(f"a: car if a.speed = 0 and @(a) = 0 then {{ {effects} }}")
+    assert [(e["binding"], e.get("error")) for e in events] == [({"a": "c1"}, error)]
+
+
 def test_an_effect_on_a_parameter_bound_to_a_deleted_component_fails():
     events = _first_step("a: car, b: car if @(a) = 0 and @(b) = 1 then"
                          " { delete(b); a.speed := b.speed; }")
