@@ -340,6 +340,9 @@ def _chain_pattern(model):
         if old is not None and old.members == members and all(
                 out.address(cid, pid) == at for at, cid in chain):
             continue
+        if old is not None:
+            for cid in old.members:
+                out._unplace(cid, pid)
         pm = m.copy()
         pm.id = pid
         pm.members = set(members)

@@ -327,6 +327,20 @@ def test_platoon_chain_pattern_splits_on_gap():
     assert "platoon_v1" not in model.cfg.motifs  # singletons are not platoons
 
 
+def test_platoon_chain_pattern_unplaces_members_that_left():
+    system = _system(PLATOON)
+    cfg = system.cfg.clone()
+    spec = _road_spec()
+    repo = KnowledgeRepository(patterns=["platoon_chain"])
+    model = reflect(EnvModel.blank(cfg, "road"), perceive(cfg, "v2", spec), repo)
+    assert model.cfg.motif("platoon_v4").members == {"v1", "v2", "v3", "v4"}
+    cfg._place("v1", "road", 20)  # v1 drives away from the chain
+    model = reflect(model, perceive(cfg, "v2", spec), repo)
+    pm = model.cfg.motif("platoon_v4")
+    assert pm.members == {"v2", "v3", "v4"}
+    assert {cid for cid, mid in model.cfg.addresses if mid == "platoon_v4"} <= pm.members
+
+
 # -- adaptation --------------------------------------------------------------
 
 

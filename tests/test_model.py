@@ -439,7 +439,7 @@ DELIBERATIVE_TRACE_PINS = {
         "57aa19c5c3e5caad", "31dde4b84200c6ba", "d9b7784ae8e73365",
         "78bb39e9b06953e1", "662f8b43959ddd86"),
     "platoon_deliberative": (
-        "29629b6116376150", "5922fa6be63fd695", "7f0d6587c3448c50",
+        "29629b6116376150", "5922fa6be63fd695", "b91139c464dc96b9",
         "210327c8aa7057a1", "dfb41a4cb162672a"),
 }
 DELIBERATIVE = {"thermostat_deliberative": THERMOSTAT_DELIBERATIVE,
@@ -462,7 +462,7 @@ DELIBERATIVE_FREE_PINS = {
         "248546f7a33f51ea", "02908af77308975d", "11dc5c3f41377a43",
         "a7fcb1bfcc861693", "f86d23521e6ecdd7"),
     "platoon_deliberative": (
-        "15525f82337286f8", "83e67b828d8f3213", "97a398c73d359bd9",
+        "15525f82337286f8", "83e67b828d8f3213", "e0f4bd8fe84e3c91",
         "7fcf2475feb03944", "3f6f1930e828c5d6"),
 }
 
