@@ -99,8 +99,8 @@ class Detection:
 
 
 class Percept:
-    """What a sensor saw: its motif's id and map (the truth's object, which
-    is copy-on-write), the detections and the nodes in range."""
+    """What a sensor saw: its motif's id and map (the truth's `Map`, a
+    value), the detections and the nodes in range."""
 
     __slots__ = ("step", "motif", "map", "detections", "visible_nodes")
 
@@ -188,9 +188,9 @@ class EnvModel:
     def blank(cls, truth, motif):
         """An initial believed model: the design-time motif structure
         with no tracked components."""
-        motifs = [m.copy(copy_members=True) for m in truth.motifs.values()]
+        motifs = [m.copy() for m in truth.motifs.values()]
         for m in motifs:
-            m.members.clear()
+            m.members = frozenset()
         return cls(Configuration((), motifs, truth.types), motif)
 
 
@@ -209,13 +209,13 @@ def reflect(model, percept, repo=None, k_stale=5):
     """
     cfg = model.cfg.clone()
     mid = model.motif
-    m = cfg._touch_motif(mid, copy_members=True)
+    m = cfg._touch_motif(mid)
     stale = dict(model.staleness)
     hypo = model.hypo
     seen = set()
 
     def drop(cid):
-        m.members.discard(cid)
+        m.members -= {cid}
         cfg._unplace(cid, mid)
         if not any(cid in mm.members for mm in cfg.motifs.values()):
             del cfg.components[cid]
@@ -238,7 +238,7 @@ def reflect(model, percept, repo=None, k_stale=5):
             comp = cfg._touch_component(cid)
             for k, v in det.state.items():
                 comp.state[k] = v
-        m.members.add(cid)
+        m.members |= {cid}
         cfg._place(cid, mid, det.node)
         stale[cid] = 0
         seen.add(cid)
@@ -335,7 +335,7 @@ def _chain_pattern(model):
             out._dirty()
             changed = True
     for pid, chain in wanted.items():
-        members = {cid for _, cid in chain}
+        members = frozenset(cid for _, cid in chain)
         old = out.motifs.get(pid)
         if old is not None and old.members == members and all(
                 out.address(cid, pid) == at for at, cid in chain):
@@ -345,7 +345,7 @@ def _chain_pattern(model):
                 out._unplace(cid, pid)
         pm = m.copy()
         pm.id = pid
-        pm.members = set(members)
+        pm.members = members
         pm.interaction_rules = []
         pm.configuration_rules = []
         out.motifs[pid] = pm

@@ -473,8 +473,8 @@ class _Search:
             return hit
         if depth == self.horizon:
             if all(g.name in reached for g in self.crit_reach):
-                res = (True, self.leaf_value(c, reached, clean),
-                       PlanNode(AGENT_TURN, value=self.leaf_value(c, reached, clean)))
+                val = self.leaf_value(c, reached, clean)
+                res = (True, val, PlanNode(AGENT_TURN, value=val))
             else:
                 res = (False, None, None)
             memo[key] = res

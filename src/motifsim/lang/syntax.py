@@ -336,10 +336,10 @@ class CompDef:
         cfg.components[self.id] = ComponentInstance(
             self.id, cfg.types[self.type], state)
         for motif, node in self.placements:
-            members = cfg.motifs[motif].members
-            if self.id in members:
+            m = cfg._touch_motif(motif)
+            if self.id in m.members:
                 raise ValueError(f"placed twice in {motif!r}")
-            members.add(self.id)
+            m.members |= {self.id}
             if node is not None:
                 cfg._place(self.id, motif, node)
 

@@ -7,16 +7,15 @@ private clone and return it, leaving the argument untouched.  The
 mutating helpers (prefixed ``_``) are reserved for those effects and for
 the agents' belief revision, which likewise work on clones.
 
-Clones share their unchanged components, motifs and maps.  Copy before
-mutate: code that changes a component's state, a motif's members or a
-motif's map first takes a private copy through
-`Configuration._touch_component` or `Configuration._touch_motif`
-(``copy_map=True`` / ``copy_members=True``), and changes only that copy,
-before any hash of its configuration is taken.  Each `Map`,
-`ComponentInstance` and `Motif` caches its canonical tuple on first use,
-a `Map` that tuple's ``repr``, and a component or motif the 64-bit
-digest of its ``repr`` (`_digest`); ``copy()`` and the `Map` mutators
-reset the cache, and the rule is what keeps every other cache valid.
+Clones share their unchanged components, motifs and maps.  Motif
+members (a frozenset) and maps (`Map`) are values: an edit makes a new
+one and puts it on the configuration's private copy of the motif
+(`Configuration._touch_motif`).  Only a component's state is changed in
+place, on the private copy `Configuration._touch_component` takes first.
+Each `Map`, `ComponentInstance` and `Motif` caches its canonical tuple on
+first use, a `Map` that tuple's ``repr``, and a component or motif the
+64-bit digest of its ``repr`` (`_digest`); ``copy()`` resets the cache,
+and a map's cache lives as long as the map, which no edit changes.
 
 The state hash (version `HASH_VERSION`) is the XOR of one digest per
 fragment of the canonical key: each component, each motif, each address
@@ -95,33 +94,24 @@ def node_sort_key(n):
 
 
 class Map:
-    """A directed graph of abstract coordinates with integer edge weights."""
+    """A directed graph of abstract coordinates with integer edge weights.
+
+    A value: `nodes` is a frozenset, and each edit returns a new map."""
 
     __slots__ = ("nodes", "out", "_dist", "_canon", "_text")
 
     def __init__(self, nodes=(), edges=()):
-        self.nodes = set(nodes)
-        self.out = {n: {} for n in self.nodes}
-        self._dist = {}
-        self._canon = self._text = None
+        out = {n: {} for n in nodes}
         for e in edges:
-            if len(e) == 2:
-                a, b = e
-                w = 1
-            else:
-                a, b, w = e
-            self.add_edge(a, b, w)
-
-    def copy(self):
-        m = Map.__new__(Map)
-        m.nodes = set(self.nodes)
-        m.out = {n: dict(d) for n, d in self.out.items()}
-        m._dist = {}
-        m._canon = m._text = None
-        return m
-
-    def _changed(self):
-        self._dist.clear()
+            a, b, w = e if len(e) == 3 else (*e, 1)
+            if a not in out or b not in out:
+                raise UnknownNode(f"edge endpoint missing: {a!r} -> {b!r}")
+            if w < 0:
+                raise ValueError("edge weight must be nonnegative")
+            out[a][b] = int(w)
+        self.nodes = frozenset(out)
+        self.out = out
+        self._dist = {}
         self._canon = self._text = None
 
     def edge_list(self):
@@ -134,32 +124,20 @@ class Map:
         return a in self.out and b in self.out[a]
 
     def add_node(self, n):
-        self.nodes.add(n)
-        self.out.setdefault(n, {})
-        self._changed()
+        return Map(self.nodes | {n}, self.edge_list())
 
     def remove_node(self, n):
         if n not in self.nodes:
             raise UnknownNode(f"no node {n!r}")
-        self.nodes.discard(n)
-        self.out.pop(n, None)
-        for d in self.out.values():
-            d.pop(n, None)
-        self._changed()
+        return Map(self.nodes - {n}, [e for e in self.edge_list() if n not in e[:2]])
 
     def add_edge(self, a, b, w=1):
-        if a not in self.nodes or b not in self.nodes:
-            raise UnknownNode(f"edge endpoint missing: {a!r} -> {b!r}")
-        if w < 0:
-            raise ValueError("edge weight must be nonnegative")
-        self.out[a][b] = int(w)
-        self._changed()
+        return Map(self.nodes, self.edge_list() + [(a, b, w)])
 
     def remove_edge(self, a, b):
         if not self.has_edge(a, b):
             raise UnknownEdge(f"no edge {a!r} -> {b!r}")
-        del self.out[a][b]
-        self._changed()
+        return Map(self.nodes, [e for e in self.edge_list() if e[:2] != (a, b)])
 
     def succ(self, n):
         """The unique out-neighbor of node `n`, or None if out-degree != 1."""
@@ -452,7 +430,11 @@ class ComponentInstance:
 
 
 class Motif:
-    """A world bundling a map, member components and coordination rules."""
+    """A world bundling a map, member components and coordination rules.
+
+    `members` is a frozenset and `map` a `Map`: both are values, so an
+    edit puts a new one on a private copy (`Configuration._touch_motif`),
+    for example ``cfg._touch_motif(mid).members |= {cid}``."""
 
     __slots__ = ("id", "map", "members", "interaction_rules", "configuration_rules",
                  "_canon", "_digest")
@@ -460,7 +442,7 @@ class Motif:
     def __init__(self, mid, map, members=(), interaction_rules=(), configuration_rules=()):
         self.id = mid
         self.map = map
-        self.members = set(members)
+        self.members = frozenset(members)
         self.interaction_rules = list(interaction_rules)
         self.configuration_rules = list(configuration_rules)
         names = set()
@@ -470,11 +452,11 @@ class Motif:
             names.add(r.name)
         self._canon = self._digest = None
 
-    def copy(self, copy_map=False, copy_members=False):
+    def copy(self):
         m = Motif.__new__(Motif)
         m.id = self.id
-        m.map = self.map.copy() if copy_map else self.map
-        m.members = set(self.members) if copy_members else self.members
+        m.map = self.map
+        m.members = self.members
         m.interaction_rules = self.interaction_rules
         m.configuration_rules = self.configuration_rules
         m._canon = m._digest = None
@@ -510,20 +492,14 @@ class Configuration:
     # -- invariants ---------------------------------------------------------
 
     def check(self):
+        """Reject a motif member that is no component: input validation.
+        Every edit keeps a configuration well-formed (`rules.apply`)."""
         for m in self.motifs.values():
             for cid in m.members:
                 if cid not in self.components:
                     raise UnknownComponent(
                         f"motif {m.id!r} references missing component {cid!r}"
                     )
-        for (cid, mid), n in self.addresses.items():
-            m = self.motifs.get(mid)
-            if m is None:
-                raise UnknownMotif(f"address entry for missing motif {mid!r}")
-            if cid not in m.members:
-                raise NotAMember(f"{cid!r} addressed in {mid!r} but not a member")
-            if n not in m.map.nodes:
-                raise UnknownNode(f"address of {cid!r} in {mid!r} is off-map: {n!r}")
 
     # -- cloning ------------------------------------------------------------
 
@@ -575,8 +551,10 @@ class Configuration:
         self._hash = None
         return c
 
-    def _touch_motif(self, mid, copy_map=False, copy_members=False):
-        m = self.motif(mid).copy(copy_map=copy_map, copy_members=copy_members)
+    def _touch_motif(self, mid):
+        """A private copy of motif `mid`, put in its place.  Its members
+        and map are shared values: a caller gives it new ones."""
+        m = self.motif(mid).copy()
         self.motifs[mid] = m
         self._hash = None
         return m

@@ -156,8 +156,7 @@ class Create(Effect):
             cid = ctx.cfg.fresh_id(type_name)
             comp = ComponentInstance(cid, ctype, init)
             ctx.cfg.components[cid] = comp
-            m = ctx.cfg._touch_motif(mid, copy_members=True)
-            m.members.add(cid)
+            ctx.cfg._touch_motif(mid).members |= {cid}
             if fn is not None:
                 node = fn(ctx)
                 if node is UNDEF:
@@ -187,8 +186,7 @@ class Delete(Effect):
             del ctx.cfg.components[cid]
             for mid, m in list(ctx.cfg.motifs.items()):
                 if cid in m.members:
-                    m2 = ctx.cfg._touch_motif(mid, copy_members=True)
-                    m2.members.discard(cid)
+                    ctx.cfg._touch_motif(mid).members -= {cid}
             for key in [k for k in ctx.cfg.addresses if k[0] == cid]:
                 del ctx.cfg.addresses[key]
             ctx.cfg._dirty()
@@ -211,7 +209,9 @@ class Join(Effect):
 
         def run(ctx):
             cid = get(ctx)
-            ctx.cfg._touch_motif(motif, copy_members=True).members.add(cid)
+            if cid not in ctx.cfg.components:
+                raise EffectError(f"motif {motif!r} references missing component {cid!r}")
+            ctx.cfg._touch_motif(motif).members |= {cid}
         return run
 
 
@@ -233,7 +233,7 @@ class Leave(Effect):
             cid = get(ctx)
             if cid not in ctx.cfg.motif(motif).members:
                 raise EffectError(f"{cid!r} is not a member of {motif!r}")
-            ctx.cfg._touch_motif(motif, copy_members=True).members.discard(cid)
+            ctx.cfg._touch_motif(motif).members -= {cid}
             ctx.cfg._unplace(cid, motif)
         return run
 
@@ -273,9 +273,9 @@ class MigrateEffect(Effect):
             if cid not in source.members:
                 raise EffectError(f"{cid!r} is not a member of {src!r}")
             if src != dst:
-                cfg._touch_motif(src, copy_members=True).members.discard(cid)
+                cfg._touch_motif(src).members -= {cid}
                 cfg._unplace(cid, src)
-                cfg._touch_motif(dst, copy_members=True).members.add(cid)
+                cfg._touch_motif(dst).members |= {cid}
             if node is not None:
                 cfg._place(cid, dst, node)
         return run
@@ -301,23 +301,23 @@ class MapEdit(Effect):
             if any(v is UNDEF for v in vals):
                 raise EffectError(f"{op} on an undefined address")
             mid = ctx.motif.id
-            m = ctx.cfg._touch_motif(mid, copy_map=True)
+            m = ctx.cfg._touch_motif(mid)
             if op == "addnode":
                 check_node(vals[0])
-                m.map.add_node(vals[0])
+                m.map = m.map.add_node(vals[0])
             elif op == "removenode":
                 occ = ctx.cfg.occupied(mid, vals[0])
                 if occ:
                     raise EffectError(
                         f"node {vals[0]!r} of {mid!r} is occupied by {sorted(occ)}")
-                m.map.remove_node(vals[0])
+                m.map = m.map.remove_node(vals[0])
             elif op == "addedge":
                 w = vals[2] if len(vals) > 2 else 1
                 check_node(vals[0])
                 check_node(vals[1])
-                m.map.add_edge(vals[0], vals[1], w)
+                m.map = m.map.add_edge(vals[0], vals[1], w)
             else:
-                m.map.remove_edge(vals[0], vals[1])
+                m.map = m.map.remove_edge(vals[0], vals[1])
         return run
 
 
@@ -573,7 +573,14 @@ def apply(cfg, motif_id, rule, binding):
     """Apply one enabled rule instance atomically.
 
     Returns the new configuration.  On any failing effect the original
-    configuration is untouched and `EffectError` is raised.
+    configuration is untouched and `EffectError` is raised.  The result
+    is not checked again: each effect keeps the configuration
+    well-formed (every member exists; every address belongs to a member
+    and lies on its motif's map).  `_place` admits only members and map
+    nodes, `leave`, `migrate` and `delete` drop an address with its
+    membership, `join` admits only an existing component, `removenode`
+    refuses an occupied node, `create` adds a fresh id, and no effect
+    deletes a motif.
     """
     clone = cfg.clone()
     motif = clone.motif(motif_id)
@@ -581,7 +588,6 @@ def apply(cfg, motif_id, rule, binding):
     try:
         for fe in rule.effect_fns():
             fe(ctx)
-        clone.check()
     except EffectError:
         raise
     except EngineError as exc:

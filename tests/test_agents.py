@@ -21,6 +21,8 @@ from motifsim.model import (
 from motifsim.rules import CONFIG, Delete, Param, Rule, apply, step_candidates
 from motifsim.scenarios import PLATOON, THERMOSTAT, THERMOSTAT_DELIBERATIVE
 
+from test_model import _well_formed
+
 
 def _system(text):
     model, diags = parse(text)
@@ -339,6 +341,7 @@ def test_platoon_chain_pattern_unplaces_members_that_left():
     pm = model.cfg.motif("platoon_v4")
     assert pm.members == {"v2", "v3", "v4"}
     assert {cid for cid, mid in model.cfg.addresses if mid == "platoon_v4"} <= pm.members
+    assert _well_formed(model.cfg)
 
 
 # -- adaptation --------------------------------------------------------------

@@ -20,7 +20,7 @@ from game_oracle import (
     oracle_reach, oracle_safety, random_game, reference_reach, reference_safety,
 )
 from test_acceptance import _scenario_games
-from test_model import PLATOON_DELIBERATIVE
+from test_model import PLATOON_DELIBERATIVE, _well_formed
 
 
 def _thermostat_system():
@@ -279,8 +279,10 @@ def _unshared(cfg):
     """An equal configuration that shares no component, motif or map."""
     c = cfg.clone()
     c.components = {k: v.copy() for k, v in cfg.components.items()}
-    c.motifs = {k: m.copy(copy_map=True, copy_members=True)
-                for k, m in cfg.motifs.items()}
+    c.motifs = {}
+    for k, m in cfg.motifs.items():
+        c.motifs[k] = u = m.copy()
+        u.map = model.Map(m.map.nodes, m.map.edge_list())
     return c
 
 
@@ -317,6 +319,20 @@ def test_same_key_is_canonical_key_equality(monkeypatch):
         for b in reached + copies + grown:
             assert a.same_key(b) == (a.canonical_key() == b.canonical_key())
     assert sum(a.same_key(b) for a in reached for b in copies) == len(reached)
+
+
+def test_every_state_ground_reaches_is_well_formed(monkeypatch):
+    reached = []
+    listing = games.step_candidates
+
+    def listed(cfg):
+        reached.append(cfg)
+        return listing(cfg)
+
+    monkeypatch.setattr(games, "step_candidates", listed)
+    grounded = _scenario_games()
+    assert len(reached) == sum(len(g.states) // 2 for g in grounded)
+    assert all(_well_formed(c) for c in reached)
 
 
 def test_a_state_hash_collision_is_an_invariant_violation(monkeypatch):
@@ -556,6 +572,29 @@ def test_plan_best_effort_scores():
     assert plan.value is not None
     # the pessimistic value is a temperature the plan can actually keep
     assert plan.value[0] >= Fraction(35, 2)
+
+
+def test_each_horizon_leaf_is_valued_once(monkeypatch):
+    searches, valued = [], []
+    init, leaf_value = games._Search.__init__, games._Search.leaf_value
+
+    def made(self, *args):
+        init(self, *args)
+        searches.append(self)
+
+    def counted(self, *args):
+        valued.append(args)
+        return leaf_value(self, *args)
+
+    monkeypatch.setattr(games._Search, "__init__", made)
+    monkeypatch.setattr(games._Search, "leaf_value", counted)
+    system = _thermostat_system()
+    warm = _thermostat_goal("goal g best_effort utility (room.temp);")
+    plan_horizon(system.cfg, "h1", [system.goals["band"], warm], 2)
+    [search] = searches
+    leaves = [res for (_, depth, _, _), res in search.memo.items()
+              if depth == 2 and res[0]]
+    assert leaves and len(valued) == len(leaves)
 
 
 ROCKS = """\

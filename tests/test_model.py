@@ -12,7 +12,9 @@ import pytest
 
 import motifsim
 from motifsim import agents, sim
-from motifsim.errors import DomainError, EffectError, UnknownEdge, UnknownNode
+from motifsim.errors import (
+    DomainError, EffectError, UnknownComponent, UnknownEdge, UnknownNode,
+)
 from motifsim.expr import TRUE, Lit
 from motifsim.games import ground
 from motifsim.lang import parse
@@ -58,12 +60,14 @@ def test_map_edit_errors():
     m = line_map(3)
     with pytest.raises(UnknownNode):
         m.add_edge(0, 9)
+    with pytest.raises(UnknownNode):
+        m.add_edge(9, 0)
     with pytest.raises(UnknownEdge):
         m.remove_edge(2, 0)
     with pytest.raises(UnknownNode):
         m.remove_node(7)
-    m.remove_node(1)
-    assert m.distance(0, 2) == UNREACHABLE
+    assert m.remove_node(1).distance(0, 2) == UNREACHABLE
+    assert m.distance(0, 2) == 2 and m.canonical() == _ref_map(line_map(3))
 
 
 def test_hop_distance_ignores_direction():
@@ -269,6 +273,51 @@ def hashed(monkeypatch):
     return seen
 
 
+def _well_formed(cfg):
+    """The configuration invariant, which the engine keeps by
+    construction and does not check at run time: every member of a motif
+    exists, and every address belongs to a member of its motif and lies
+    on its map.  Members and map nodes are frozen values."""
+    for m in cfg.motifs.values():
+        assert isinstance(m.members, frozenset) and isinstance(m.map.nodes, frozenset)
+        for cid in m.members:
+            assert cid in cfg.components, f"motif {m.id!r} references missing {cid!r}"
+    for (cid, mid), n in cfg.addresses.items():
+        m = cfg.motifs.get(mid)
+        assert m is not None, f"address entry for missing motif {mid!r}"
+        assert cid in m.members, f"{cid!r} addressed in {mid!r} but not a member"
+        assert n in m.map.nodes, f"address of {cid!r} in {mid!r} is off-map: {n!r}"
+    return True
+
+
+@pytest.fixture
+def well_formed(monkeypatch):
+    """Checks `_well_formed` on every configuration a `World` commits and
+    on every belief `reflect` returns; counts both."""
+    advance, reflect = sim.World.advance, agents.reflect
+    seen = Counter()
+
+    def committed(self):
+        event = advance(self)
+        seen["committed"] += _well_formed(self.cfg)
+        return event
+
+    def believed(*args, **kw):
+        out = reflect(*args, **kw)
+        seen["believed"] += _well_formed(out.cfg)
+        return out
+
+    monkeypatch.setattr(sim.World, "advance", committed)
+    monkeypatch.setattr(agents, "reflect", believed)
+    return seen
+
+
+def test_a_motif_member_must_be_a_component():
+    with pytest.raises(UnknownComponent,
+                       match="motif 'm' references missing component 'ghost'"):
+        Configuration([], [Motif("m", line_map(1), members=["ghost"])])
+
+
 def _build(text):
     model, diags = parse(text)
     assert model is not None, diags
@@ -373,14 +422,18 @@ def test_entry_digests_stay_bounded(hashed, monkeypatch):
 
 
 def test_map_edits_reset_the_cached_fragment():
+    # each edit returns a new map, with its own cache, and keeps the original
     m = line_map(3)
-    edits = [lambda: m.add_node(7), lambda: m.add_edge(2, 7, 3),
-             lambda: m.remove_edge(0, 1), lambda: m.remove_node(7)]
+    edits = [lambda m: m.add_node(7), lambda m: m.add_edge(2, 7, 3),
+             lambda m: m.remove_edge(0, 1), lambda m: m.remove_node(7)]
     for edit in edits:
         before = m.canonical_repr()
-        edit()
-        assert m.canonical_repr() != before
-        assert m.canonical_repr() == repr(_ref_map(m))
+        edited = edit(m)
+        assert edited is not m and isinstance(edited.nodes, frozenset)
+        assert m.canonical_repr() == before == repr(_ref_map(m))
+        assert edited.canonical_repr() != before
+        assert edited.canonical() == _ref_map(edited)
+        m = edited
 
 
 # state hash version 2 (`model.HASH_VERSION`), which traces and exported
@@ -487,22 +540,33 @@ def _check_pins(traces, free_pins, pins):
 
 
 @pytest.mark.parametrize("sc", bundled(), ids=lambda sc: sc.name)
-def test_pinned_scenario_traces(sc):
+def test_pinned_scenario_traces(sc, well_formed):
     traces = [sim.run(sc.build(), seed=s) for s in range(3)]
     _check_pins(traces, TRACE_FREE_PINS[sc.name], TRACE_PINS[sc.name])
+    assert well_formed["committed"]
 
 
-def test_pinned_dynamic_traces():
+def test_pinned_dynamic_traces(well_formed):
     traces = [sim.run(_build(DYNAMIC), steps=300, seed=s) for s in range(5)]
     _check_pins(traces, DYNAMIC_FREE_PINS, DYNAMIC_TRACE_PINS)
     errors = {e["error"] for t in traces for e in t.events if "error" in e}
     assert "no edge 3 -> 4" in errors
+    assert well_formed["committed"]
 
 
 @pytest.mark.parametrize("name", sorted(DELIBERATIVE))
-def test_pinned_deliberative_traces(name):
+def test_pinned_deliberative_traces(name, well_formed):
     traces = [sim.run(_build(DELIBERATIVE[name]), seed=s) for s in range(5)]
     _check_pins(traces, DELIBERATIVE_FREE_PINS[name], DELIBERATIVE_TRACE_PINS[name])
+    assert well_formed["committed"] and well_formed["believed"]
+
+
+def test_beliefs_without_the_platoon_chain_pattern_are_well_formed(well_formed):
+    text = PLATOON_DELIBERATIVE.replace("  pattern platoon_chain;\n", "")
+    assert text != PLATOON_DELIBERATIVE
+    for seed in range(5):
+        sim.run(_build(text), seed=seed)
+    assert well_formed["committed"] and well_formed["believed"]
 
 
 @pytest.mark.parametrize("name", sorted(DELIBERATIVE))
