@@ -16,7 +16,7 @@ from motifsim.errors import (
     DomainError, EffectError, UnknownComponent, UnknownEdge, UnknownNode,
 )
 from motifsim.expr import TRUE, Lit
-from motifsim.games import ground
+from motifsim.games import ground, solve_safety
 from motifsim.lang import parse
 from motifsim.model import (
     AGENT, OBJECT, BoolDomain, ComponentInstance, ComponentType,
@@ -25,7 +25,9 @@ from motifsim.model import (
     ring_map,
 )
 from motifsim.rules import CONFIG, MapEdit, Move, Param, Rule, apply
-from motifsim.scenarios import PLATOON, THERMOSTAT_DELIBERATIVE, bundled
+from motifsim.scenarios import (
+    PLATOON, THERMOSTAT, THERMOSTAT_DELIBERATIVE, bundled,
+)
 
 
 def test_line_map_distances():
@@ -559,6 +561,51 @@ def test_pinned_deliberative_traces(name, well_formed):
     traces = [sim.run(_build(DELIBERATIVE[name]), seed=s) for s in range(5)]
     _check_pins(traces, DELIBERATIVE_FREE_PINS[name], DELIBERATIVE_TRACE_PINS[name])
     assert well_formed["committed"] and well_formed["believed"]
+
+
+# Scheduler branches the runs above do not take: the `round_robin` policy
+# on the platoon (101 steps to quiescence); a scripted thermostat whose
+# script names two rules that are not enabled (stutter steps) and runs
+# out before `steps`; and the thermostat steered by the table controller
+# synthesized for `band`, as the benchmark's `sim_revisit` runs it, at
+# seeds 0-2.  That controller commands the heater's transitions exactly
+# when its automaton would take them, so the steered traces equal the
+# free ones of `TRACE_PINS`.
+SCRIPTED = THERMOSTAT.replace("steps 10000;", "steps 10;").replace(
+    "policy random;",
+    "policy script(cool, warm, cool, cool, cool, off_to_on_0, house/warm, cool);")
+SCHEDULER_TRACE_PINS = {
+    "platoon_round_robin": ("94bcaf73da686732",),
+    "thermostat_script": ("674673b991b41a2c",),
+    "thermostat_steered": ("ad1a68f15d86ab52", "2d0f7e436a88edf4", "d3d38ccfe1ec5dbc"),
+}
+SCHEDULER_FREE_PINS = {
+    "platoon_round_robin": ("bad7acd48f713255",),
+    "thermostat_script": ("594243a06a81817a",),
+    "thermostat_steered": ("b56bd63628066bd4", "0c82436ceab4da8d", "8b1d3503fc9ee6aa"),
+}
+
+
+def _steered_thermostat():
+    system = _build(THERMOSTAT)
+    ctrl = solve_safety(ground(system.cfg, "h1", bad=system.goals["band"].holds))
+    return system, {"h1": (frozenset({"band"}), ctrl)}
+
+
+def _scheduler_traces(name):
+    if name == "platoon_round_robin":
+        return [sim.run(_build(PLATOON), policy="round_robin")]
+    if name == "thermostat_script":
+        return [sim.run(_build(SCRIPTED))]
+    system, controllers = _steered_thermostat()
+    return [sim.run(system, seed=s, controllers=controllers) for s in range(3)]
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULER_TRACE_PINS))
+def test_pinned_scheduler_traces(name, well_formed):
+    traces = _scheduler_traces(name)
+    _check_pins(traces, SCHEDULER_FREE_PINS[name], SCHEDULER_TRACE_PINS[name])
+    assert well_formed["committed"]
 
 
 def test_beliefs_without_the_platoon_chain_pattern_are_well_formed(well_formed):
