@@ -552,7 +552,8 @@ class AgentRuntime:
         stored through a second lookup: the plan's own listings may have
         evicted the record the first one found."""
         key = (self.ego, tuple(g.name for g in goals), horizon)
-        decided = record(self.records, cfg).decided
+        h = cfg.state_hash()
+        decided = record(self.records, h).decided
         if key in decided:
             return decided[key]
         try:
@@ -560,7 +561,7 @@ class AgentRuntime:
                            self.records)
         except NoSafePlan:
             label = _NO_PLAN
-        record(self.records, cfg).decided[key] = label
+        record(self.records, h).decided[key] = label
         return label
 
     def step(self, truth, step, seed):

@@ -437,7 +437,7 @@ class Motif:
     for example ``cfg._touch_motif(mid).members |= {cid}``."""
 
     __slots__ = ("id", "map", "members", "interaction_rules", "configuration_rules",
-                 "_canon", "_digest")
+                 "_canon", "_digest", "_by_type")
 
     def __init__(self, mid, map, members=(), interaction_rules=(), configuration_rules=()):
         self.id = mid
@@ -451,6 +451,7 @@ class Motif:
                 raise ValueError(f"duplicate rule {r.name!r}")
             names.add(r.name)
         self._canon = self._digest = None
+        self._by_type = (None, None)
 
     def copy(self):
         m = Motif.__new__(Motif)
@@ -460,7 +461,23 @@ class Motif:
         m.interaction_rules = self.interaction_rules
         m.configuration_rules = self.configuration_rules
         m._canon = m._digest = None
+        m._by_type = self._by_type
         return m
+
+    def members_by_type(self, types, components):
+        """A dict from each type name in `types` to the sorted ids of the
+        members of that type in `components`, their configuration's.  The
+        lists are kept for the `members` object they were made from, and
+        shared with copies, so a new members value makes new ones; a
+        component's type is fixed by its id (`create` makes fresh ids)."""
+        members, lists = self._by_type
+        if members is not self.members:
+            members, lists = self._by_type = (self.members, {})
+        for t in types:
+            if t not in lists:
+                lists[t] = [cid for cid in sorted(members)
+                            if components[cid].type.name == t]
+        return lists
 
     def canonical(self):
         if self._canon is None:
@@ -656,12 +673,12 @@ class Record:
         self.decided = {}    # AgentRuntime._decide: (ego, goal names, horizon) -> label
 
 
-def record(records, cfg):
-    """`cfg`'s record in `records`, a dict from state hash to `Record`,
-    made when its state hash has none.  Past `RECORDS` records the oldest
-    is evicted: the one lookup, bound and eviction of the engine's
-    per-state memos."""
-    h = cfg.state_hash()
+def record(records, h):
+    """The record of state hash `h` in `records`, a dict from state hash
+    to `Record`, made when it has none.  Past `RECORDS` records the
+    oldest is evicted: the one lookup, bound and eviction of the engine's
+    per-state memos.  The caller passes the hash it took, so that a
+    caller which needs the hash too takes it once."""
     rec = records.get(h)
     if rec is None:
         rec = records[h] = Record()
@@ -673,7 +690,7 @@ def record(records, cfg):
 def listing(records, cfg, lister):
     """`cfg`'s `step_candidates` listing, kept in its record in `records`.
     A miss calls `lister(cfg)`, the caller's own `step_candidates` name."""
-    rec = record(records, cfg)
+    rec = record(records, cfg.state_hash())
     if rec.cands is None:
         rec.cands = lister(cfg)
     return rec.cands

@@ -532,9 +532,10 @@ def enabled_bindings(cfg, motif_id, rule, fixed=None):
     (which need not be motif-member-checked), and nothing else: the
     names of the rule's `BindingPlan`.  A rule with no free parameter
     runs its guard once; any other runs its plan's `first` test, then
-    the plan's enumerator, which skips the subtrees whose leading guard
-    conjuncts are already False.  The full guard, from `rule.guard_fn()`,
-    runs on each complete binding.
+    the plan's enumerator over the motif's members of each parameter's
+    type (`Motif.members_by_type`), which skips the subtrees whose
+    leading guard conjuncts are already False.  The full guard, from
+    `rule.guard_fn()`, runs on each complete binding.
     """
     guard = rule.guard_fn()
     plan = rule._plan
@@ -548,12 +549,7 @@ def enabled_bindings(cfg, motif_id, rule, fixed=None):
     held = True if plan.first is None else plan.first(ctx)
     if held is False:
         return []
-    comps = cfg.components
-    members = sorted(ctx.motif.members)
-    of_type = {}
-    for t in plan.types:
-        of_type[t] = [cid for cid in members
-                      if cid in comps and comps[cid].type.name == t]
+    of_type = ctx.motif.members_by_type(plan.types, cfg.components)
     if held is None:
         # the full guard raises where `first` stopped, on every complete
         # binding: it runs on the first one, if the members make one

@@ -19,11 +19,16 @@ What a step derives from the state alone is kept in its `model.Record`,
 filled on first use: the `step_candidates` listing (each candidate
 keeps its fired successor), that listing split into pools with the
 table-driven controllers' commands, and the `always` checks that fail
-there.  A `World` hands its records to its runtimes, which plan through
-them and keep each decision in its believed state's record, so what the
-scheduler, a plan or a decision derived is not derived again while its
-record is kept.  A `World` keeps at most `model.RECORDS` records and
-evicts the oldest, so the memory of a run does not grow with its steps.
+there.  A `World` holds the current state's record and state hash,
+looked up once per state entered: at construction, and in the step that
+fires a successor, whose event's `post` is that hash.  So a step on a
+revisited state takes one state hash and one record lookup, and builds
+no container but its event's.  A `World` hands its records to its
+runtimes, which plan through them and keep each decision in its
+believed state's record, so what the scheduler, a plan or a decision
+derived is not derived again while its record is kept.  A `World` keeps
+at most `model.RECORDS` records and evicts the oldest, so the memory of
+a run does not grow with its steps.
 """
 
 import json
@@ -88,7 +93,13 @@ def _model_hash(system):
 
 
 class World:
-    """Mutable run state: truth configuration plus agent runtimes."""
+    """Mutable run state: truth configuration plus agent runtimes.
+
+    `cfg` is the truth.  Its state hash and its `model.Record` are looked
+    up when the `World` is made and when a step enters a successor, and
+    kept until the next one: the pools and the failing checks read that
+    record.  A step that stutters or whose effect fails stays in its
+    state, and in its record."""
 
     def __init__(self, system, seed=0, policy="random", script=None,
                  controllers=None):
@@ -101,10 +112,11 @@ class World:
         self.rng = random.Random(f"run:{seed}")
         self.step_no = 0
         self.rr = 0
-        # state hash -> model.Record, shared with the runtimes; the current
-        # state's record `_rec` was looked up for the configuration `_at`
+        # state hash -> model.Record, shared with the runtimes; `_hash` and
+        # `_rec` are the current state's
         self._records = {}
-        self._rec = self._at = None
+        self._hash = self.cfg.state_hash()
+        self._rec = record(self._records, self._hash)
         self.runtimes = {}
         for ego, ad in system.agent_defs.items():
             goals = [system.goals[n] for n in ad.goals]
@@ -130,17 +142,10 @@ class World:
 
     # -- the per-state record -----------------------------------------------
 
-    def _record(self):
-        """The current state's record, looked up once per state entered."""
-        if self._at is not self.cfg:
-            self._rec = record(self._records, self.cfg)
-            self._at = self.cfg
-        return self._rec
-
     def _pools(self):
         """`(by_label, p1 of the table controllers, p2, p3)` at the
         current state, kept in its record."""
-        rec = self._record()
+        rec = self._rec
         if rec.pools is None:
             steered, table = set(self.runtimes), []
             for ego, ctrl in self.tables.items():
@@ -165,7 +170,7 @@ class World:
     def _failing(self, always):
         """Which of the run's `always` checks, `(fn, result)` pairs, fail
         at the current state: their results, kept in its record."""
-        rec = self._record()
+        rec = self._rec
         if rec.failing is None:
             rec.failing = [res for fn, res in always if not _holds(fn, self.cfg)]
         return rec.failing
@@ -173,16 +178,20 @@ class World:
     # -- one step -----------------------------------------------------------
 
     def advance(self):
-        """Run one step; returns the event dict or None at quiescence."""
+        """Run one step; returns the event dict or None at quiescence.
+
+        A `World` without runtimes does no per-agent work: the runtimes
+        are stepped and told the event only when there are some."""
         step = self.step_no
         beliefs = {}
-        chosen = []
-        for ego in self.runtimes:  # declaration order
-            rt = self.runtimes[ego]
-            label = rt.step(self.cfg, step, self.seed)
-            beliefs[ego] = rt.model.digest()
-            if label is not None:
-                chosen.append(label)
+        chosen = None
+        if self.runtimes:
+            chosen = []
+            for ego, rt in self.runtimes.items():  # declaration order
+                label = rt.step(self.cfg, step, self.seed)
+                beliefs[ego] = rt.model.digest()
+                if label is not None:
+                    chosen.append(label)
         by_label, p1, p2, p3 = self._pools()
         if chosen:
             p1 = [by_label[lab] for lab in chosen if lab in by_label] + p1
@@ -211,18 +220,23 @@ class World:
             unc = False
         else:
             motif, rule, binding = cand.motif, cand.rule.name, dict(cand.binding)
-            unc = not (cand.controlled_by & self._deliberative) \
-                and cand.kind != CONTROLLER
+            unc = cand.kind != CONTROLLER \
+                and self._deliberative.isdisjoint(cand.controlled_by)
             try:
-                self.cfg = cand.fire()
+                successor = cand.fire()
             except EffectError as e:
                 # a command that fails to execute consumes the step
                 error = str(e)
+            else:
+                self.cfg = successor
+                self._hash = successor.state_hash()
+                self._rec = record(self._records, self._hash)
         self.step_no += 1
-        for rt in self.runtimes.values():
-            rt.observe_event(unc)
+        if self.runtimes:
+            for rt in self.runtimes.values():
+                rt.observe_event(unc)
         event = {"step": step, "motif": motif, "rule": rule, "binding": binding,
-                 "post": self.cfg.state_hash(), "unc": unc, "beliefs": beliefs}
+                 "post": self._hash, "unc": unc, "beliefs": beliefs}
         if error is not None:
             event["error"] = error
         return event
@@ -252,15 +266,18 @@ def run(system, steps=None, seed=None, policy=None, controllers=None):
     checks = [(cd, cd.holds, CheckResult(cd.name, cd.when))
               for cd in (sc.checks if sc else ())]
     always = [(fn, res) for cd, fn, res in checks if cd.when == "always"]
-    for res in world._failing(always):
+    failing = world._failing
+    for res in failing(always):
         res.fail(-1)
-    for _ in range(steps):
-        e = world.advance()
+    # a fresh world's step numbers count from 0, as `i` does
+    advance, append = world.advance, trace.events.append
+    for i in range(steps):
+        e = advance()
         if e is None:
             break
-        trace.events.append(e)
-        for res in world._failing(always):
-            res.fail(e["step"])
+        append(e)
+        for res in failing(always):
+            res.fail(i)
     for cd, fn, res in checks:
         if cd.when == "finally" and not _holds(fn, world.cfg):
             res.fail(world.step_no)

@@ -608,6 +608,26 @@ def test_pinned_scheduler_traces(name, well_formed):
     assert well_formed["committed"]
 
 
+def test_a_step_hashes_its_state_once(monkeypatch):
+    # the step that enters a state hashes it once, for its record and its
+    # event's `post`; besides, a run hashes its initial state, and a table
+    # controller each state it is asked about (the thermostat has 18)
+    system, controllers = _steered_thermostat()
+    calls = Counter()
+    original = Configuration.state_hash
+
+    def counted(self):
+        calls["state_hash"] += 1
+        return original(self)
+
+    monkeypatch.setattr(Configuration, "state_hash", counted)
+    for ctrls in (None, controllers):
+        calls.clear()
+        trace = sim.run(system, steps=10_000, seed=0, controllers=ctrls)
+        assert trace.steps == 10_000
+        assert calls["state_hash"] <= trace.steps + 20
+
+
 def test_beliefs_without_the_platoon_chain_pattern_are_well_formed(well_formed):
     text = PLATOON_DELIBERATIVE.replace("  pattern platoon_chain;\n", "")
     assert text != PLATOON_DELIBERATIVE
