@@ -33,6 +33,7 @@ import heapq
 import math
 from fractions import Fraction
 from hashlib import blake2b
+from itertools import islice
 
 from .errors import (
     DomainError,
@@ -673,13 +674,21 @@ class Record:
     (`games._Search.agent_step`): whether the goals can be met, the best
     pessimistic value and the best move, under the ego, the goals, the
     agent turns left and the goal flags.  A decision is the value at its
-    root, so deciding again on the same belief and goals plans nothing."""
+    root, so deciding again on the same belief and goals plans nothing.
 
-    __slots__ = ("cands", "pools", "failing", "plans")
+    `pools` and `pool` hold the scheduler's moves (`sim._SUCC`), one per
+    candidate: its event's fields and, once it has fired, its successor
+    and that successor's state hash.  `pools` splits them as the
+    scheduler's pools, and `pool` is the first nonempty one, which a
+    random step draws from when no runtime chose a command.  A step on a
+    known state thus reads what it commits and fires nothing again."""
+
+    __slots__ = ("cands", "pool", "pools", "failing", "plans")
 
     def __init__(self):
-        self.cands = None    # World._pools, the planner: the state's `step_candidates`
-        self.pools = None    # sim.World._pools: the candidates, split
+        self.cands = None    # sim.World._fill, the planner: the state's `step_candidates`
+        self.pool = None     # sim.World._fill: the moves a random step draws from
+        self.pools = None    # sim.World._fill: (by_label, p1, p2, p3) of the moves
         self.failing = None  # sim.World._failing: results of failing `always` checks
         self.plans = {}      # games._Search.agent_step: key -> (ok, value, action)
 
@@ -699,6 +708,12 @@ def record(records, h):
 def trim(records):
     """Evict the oldest records of `records` until at most `RECORDS`
     remain: the one bound of the engine's per-state memos, which a
-    `World` applies at the end of each step."""
-    while len(records) > RECORDS:
+    `World` applies at the end of a step that exceeded it.  k excess
+    records take one pass over the k oldest keys: deleting the front
+    key k times would walk past the deleted slots on each new iterator."""
+    excess = len(records) - RECORDS
+    if excess == 1:
         del records[next(iter(records))]
+    elif excess > 1:
+        for h in list(islice(records, excess)):
+            del records[h]

@@ -16,20 +16,26 @@ makes their guarantees carry over from the game abstraction (an agent
 that must react is never outrun by the plant).
 
 What a step derives from the state alone is kept in its `model.Record`,
-filled on first use: the `step_candidates` listing (each candidate
-keeps its fired successor), that listing split into pools with the
-table-driven controllers' commands, and the `always` checks that fail
-there.  A `World` holds the current state's record and state hash,
-looked up once per state entered: at construction, and in the step that
-fires a successor, whose event's `post` is that hash.  So a step on a
-revisited state takes one state hash and one record lookup, and builds
-no container but its event's.  A `World` hands its records to its
-runtimes, which plan through them and keep their plans' values in the
-records of the states the plans reach (`model.Record.plans`), so what
-the scheduler or a plan derived is not derived again while its record
-is kept, and a decision on a belief already planned for plans nothing.
-Nothing is evicted during a step: `advance` trims the records to
-`model.RECORDS`, the oldest first, as it returns (`model.trim`), so the
+filled on first use: the `step_candidates` listing, its moves (a
+candidate's event fields and, once it has fired, its successor and that
+successor's state hash; see `_SUCC`), those moves split into the pools
+with the table-driven controllers' commands, the draw pool (the first
+nonempty pool), and the `always` checks that fail there.  A `World` holds the
+current state's record and state hash, looked up once per state
+entered: at construction, and in the step that fires a successor, whose
+event's `post` is that hash.  So a random step without runtimes, on a
+state whose record is filled and by a move that has fired before, draws
+once, looks up one record and builds its event, and calls no function of
+the engine.  The draw is `random.Random.choice` written out over
+`getrandbits`, so a trace depends on the seed's Mersenne Twister stream
+alone.  Runtimes, `round_robin` and `script` take their moves from the
+same pools.  A `World` hands its records to its runtimes, which plan
+through them and keep their plans' values in the records of the states
+the plans reach (`model.Record.plans`), so what the scheduler or a plan
+derived is not derived again while its record is kept, and a decision
+on a belief already planned for plans nothing.  Nothing is evicted
+during a step: a step that leaves more than `model.RECORDS` records
+trims them, the oldest first, as it returns (`model.trim`), so the
 memory of a run does not grow with its steps.
 """
 
@@ -40,6 +46,7 @@ from .agents import AgentRuntime
 from .errors import EffectError, EngineError, ReplayDivergence
 from .expr import Ctx
 from .games import IDLE
+from . import model
 from .model import HASH_VERSION, record, trim
 from .rules import CONTROLLER, step_candidates
 
@@ -99,20 +106,32 @@ def _model_hash(system):
 POLICIES = ("random", "round_robin", "script")
 
 
+#: A move is a candidate as the scheduler commits it, kept in the record
+#: of the state it was listed on: ``[candidate, motif, rule name, event
+#: binding, unc, successor, post]``, the last two None until it has fired
+#: (a failing effect keeps nothing, and fails again on each draw).  A list,
+#: not an object, because every new state makes one per candidate.
+_SUCC, _POST = 5, 6
+
+
 class World:
     """Mutable run state: truth configuration plus agent runtimes.
 
-    `policy` is one of `POLICIES`; any other raises `ValueError`.
-    `cfg` is the truth.  Its state hash and its `model.Record` are looked
-    up when the `World` is made and when a step enters a successor, and
-    kept until the next one: the pools and the failing checks read that
-    record.  A step that stutters or whose effect fails stays in its
-    state, and in its record."""
+    `policy` is one of `POLICIES`, and each key of `controllers` names a
+    component; anything else raises `ValueError`.  `cfg` is the truth.
+    Its state hash and its `model.Record` are looked up when the `World`
+    is made and when a step enters a successor, and kept until the next
+    one: the pools and the failing checks read that record.  A step that
+    stutters or whose effect fails stays in its state, and in its
+    record."""
 
     def __init__(self, system, seed=0, policy="random", script=None,
                  controllers=None):
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}; expected {', '.join(POLICIES)}")
+        for ego in controllers or ():
+            if ego not in system.cfg.components:
+                raise ValueError(f"controller for {ego!r}, which names no component")
         self.system = system
         self.cfg = system.cfg
         self.seed = seed
@@ -152,30 +171,35 @@ class World:
 
     # -- the per-state record -----------------------------------------------
 
-    def _pools(self):
-        """`(by_label, p1 of the table controllers, p2, p3)` at the
-        current state, kept in its record."""
-        rec = self._rec
-        if rec.pools is None:
-            steered, table = set(self.runtimes), []
-            for ego, ctrl in self.tables.items():
-                cmd = ctrl.command(self.cfg)
-                if cmd is None:
-                    continue  # coverage gap: leave the ego's own moves free
-                steered.add(ego)
-                if cmd != IDLE:
-                    table.append(cmd)
-            by_label, p2, p3 = {}, [], []
-            if rec.cands is None:
-                rec.cands = step_candidates(self.cfg)
-            for c in rec.cands:
-                by_label[c.label] = c
-                if c.controlled_by & steered:
-                    continue  # withheld unless its agent chose it
-                (p2 if c.rule.kind == CONTROLLER else p3).append(c)
-            rec.pools = (by_label, [by_label[lab] for lab in table if lab in by_label],
-                         p2, p3)
-        return rec.pools
+    def _fill(self, rec):
+        """Fill the current state's record `rec` with its moves: `pools`,
+        `(by_label, p1 of the table controllers, p2, p3)`, and `pool`, the
+        first nonempty of the three; returns `pool`."""
+        steered, table = set(self.runtimes), []
+        for ego, ctrl in self.tables.items():
+            cmd = ctrl.command(self.cfg)
+            if cmd is None:
+                continue  # coverage gap: leave the ego's own moves free
+            steered.add(ego)
+            if cmd != IDLE:
+                table.append(cmd)
+        if rec.cands is None:
+            rec.cands = step_candidates(self.cfg)
+        deliberative = self._deliberative
+        by_label, p2, p3 = {}, [], []
+        for c in rec.cands:
+            owners = c.controlled_by
+            controller = c.rule.kind == CONTROLLER
+            move = by_label[c.label] = [
+                c, c.motif, c.rule.name, dict(c.binding),
+                not controller and deliberative.isdisjoint(owners), None, None]
+            if steered and not steered.isdisjoint(owners):
+                continue  # withheld unless its agent chose it
+            (p2 if controller else p3).append(move)
+        p1 = [by_label[lab] for lab in table if lab in by_label] if table else []
+        rec.pools = (by_label, p1, p2, p3)
+        rec.pool = p1 or p2 or p3
+        return rec.pool
 
     def _failing(self, always):
         """Which of the run's `always` checks, `(fn, result)` pairs, fail
@@ -190,67 +214,94 @@ class World:
     def advance(self):
         """Run one step; returns the event dict or None at quiescence.
 
-        A `World` without runtimes does no per-agent work: the runtimes
-        are stepped and told the event only when there are some."""
+        The pool is the record's draw pool, or, when a runtime chose a
+        command, the chosen moves before the table controllers' (p1).  The
+        random draw makes the `getrandbits` calls `random.Random.choice`
+        makes.  A move's first draw fires it and hashes its successor; a
+        later one reads both from the move.  The records are trimmed only
+        when the step left more than `model.RECORDS`.  The runtimes are
+        stepped and told the event only when there are some.  An event
+        shares its move's `binding` dict with the move's other events:
+        read it, do not change it."""
         step = self.step_no
+        rec = self._rec
+        pool = rec.pool
+        if pool is None:
+            pool = self._fill(rec)
+        records = self._records
         beliefs = {}
-        chosen = None
+        chosen = ()
         if self.runtimes:
-            chosen = []
+            labels = []
             for ego, rt in self.runtimes.items():  # declaration order
                 label = rt.step(self.cfg, step, self.seed)
                 beliefs[ego] = rt.model.digest()
                 if label is not None:
-                    chosen.append(label)
-        by_label, p1, p2, p3 = self._pools()
-        if chosen:
-            p1 = [by_label[lab] for lab in chosen if lab in by_label] + p1
-        pool = p1 or p2 or p3
-        cand = None
-        if self.policy == "script":
-            if step < len(self.script):
-                want = self.script[step]
-                for c in p1 + p2 + p3:
-                    if c.rule.name == want or f"{c.motif}/{c.rule.name}" == want:
-                        cand = c
-                        break
-        elif pool:
-            if self.policy == "round_robin":
-                cand = pool[self.rr % len(pool)]
+                    labels.append(label)
+            by_label, p1 = rec.pools[0], rec.pools[1]
+            chosen = [by_label[lab] for lab in labels if lab in by_label]
+            if chosen:
+                pool = chosen + p1
+        policy = self.policy
+        move = None
+        if policy == "random":
+            n = len(pool)
+            if n:
+                rng = self.rng
+                k = n.bit_length()
+                r = rng.getrandbits(k)
+                while r >= n:
+                    r = rng.getrandbits(k)
+                move = pool[r]
+        elif policy == "round_robin":
+            if pool:
+                move = pool[self.rr % len(pool)]
                 self.rr += 1
-            else:
-                cand = self.rng.choice(pool)
+        elif step < len(self.script):
+            want = self.script[step]
+            _, p1, p2, p3 = rec.pools
+            for m in (*chosen, *p1, *p2, *p3):
+                if m[2] == want or f"{m[1]}/{m[2]}" == want:  # motif, rule
+                    move = m
+                    break
         error = None
-        if cand is None:
-            if self.policy != "script" or step >= len(self.script):
-                trim(self._records)
+        if move is None:
+            if policy != "script" or step >= len(self.script):
+                if len(records) > model.RECORDS:
+                    trim(records)
                 return None
             # scripted rule not enabled: an explicit stutter step
             motif = rule = None
             binding = {}
             unc = False
         else:
-            motif, rule, binding = cand.motif, cand.rule.name, dict(cand.binding)
-            unc = cand.rule.kind != CONTROLLER \
-                and self._deliberative.isdisjoint(cand.controlled_by)
-            try:
-                successor = cand.fire()
-            except EffectError as e:
-                # a command that fails to execute consumes the step
-                error = str(e)
-            else:
-                self.cfg = successor
-                self._hash = successor.state_hash()
-                self._rec = record(self._records, self._hash)
-        self.step_no += 1
+            cand, motif, rule, binding, unc, succ, post = move
+            if succ is None:
+                try:
+                    succ = cand.fire()
+                except EffectError as e:
+                    # a command that fails to execute consumes the step
+                    error = str(e)
+                else:
+                    move[_SUCC] = succ
+                    move[_POST] = post = succ.state_hash()
+            if succ is not None:
+                rec = records.get(post)
+                if rec is None:
+                    rec = record(records, post)
+                    if len(records) > model.RECORDS:
+                        trim(records)
+                self.cfg, self._hash, self._rec = succ, post, rec
+        self.step_no = step + 1
         if self.runtimes:
             for rt in self.runtimes.values():
                 rt.observe_event(unc)
+            if len(records) > model.RECORDS:
+                trim(records)
         event = {"step": step, "motif": motif, "rule": rule, "binding": binding,
                  "post": self._hash, "unc": unc, "beliefs": beliefs}
         if error is not None:
             event["error"] = error
-        trim(self._records)
         return event
 
 
@@ -279,17 +330,20 @@ def run(system, steps=None, seed=None, policy=None, controllers=None):
     checks = [(cd, cd.holds, CheckResult(cd.name, cd.when))
               for cd in (sc.checks if sc else ())]
     always = [(fn, res) for cd, fn, res in checks if cd.when == "always"]
-    failing = world._failing
-    for res in failing(always):
+    for res in world._failing(always):
         res.fail(-1)
-    # a fresh world's step numbers count from 0, as `i` does
+    # a fresh world's step numbers count from 0, as `i` does; the failing
+    # checks are read from the current state's record once it has them
     advance, append = world.advance, trace.events.append
     for i in range(steps):
         e = advance()
         if e is None:
             break
         append(e)
-        for res in failing(always):
+        failing = world._rec.failing
+        if failing is None:
+            failing = world._failing(always)
+        for res in failing:
             res.fail(i)
     for cd, fn, res in checks:
         if cd.when == "finally" and not _holds(fn, world.cfg):

@@ -21,8 +21,8 @@ from motifsim.lang import parse
 from motifsim.model import (
     AGENT, OBJECT, BoolDomain, ComponentInstance, ComponentType,
     Configuration, ControllerSpec, EnumDomain, IntRange, Map, Motif,
-    RealRange, UNREACHABLE, VarDecl, grid_map, line_map, node_sort_key,
-    ring_map,
+    RECORDS, RealRange, Record, UNREACHABLE, VarDecl, grid_map, line_map,
+    node_sort_key, ring_map, trim,
 )
 from motifsim.rules import CONFIG, MapEdit, Move, Param, Rule, apply
 from motifsim.scenarios import (
@@ -626,6 +626,14 @@ def test_a_step_hashes_its_state_once(monkeypatch):
         trace = sim.run(system, steps=10_000, seed=0, controllers=ctrls)
         assert trace.steps == 10_000
         assert calls["state_hash"] <= trace.steps + 20
+
+
+@pytest.mark.parametrize("excess", [0, 1, 5000])
+def test_trim_keeps_the_newest_records_in_order(excess):
+    records = {h: Record() for h in range(RECORDS + excess)}
+    newest = list(records)[excess:]
+    trim(records)
+    assert list(records) == newest
 
 
 def test_beliefs_without_the_platoon_chain_pattern_are_well_formed(well_formed):

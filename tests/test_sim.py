@@ -1,4 +1,5 @@
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -440,6 +441,54 @@ def test_non_boolean_check_fails_at_its_step():
     assert [(c.ok, c.first_fail) for c in trace.checks] == [(False, -1)]
 
 
+# -- the random draw ----------------------------------------------------------
+
+
+def _cells(n, top, rules):
+    """`n` cells at one node, each with an own rule `up` while its `v` is
+    below `top` and, given `rules` 2, `down` while it is above 0."""
+    down = "    rule down if self.v > 0 then { self.v := self.v - 1; }\n" \
+        if rules == 2 else ""
+    return (f"type cell object {{\n  var v: int[0, {top}];\n  dynamics {{\n"
+            f"    rule up if self.v < {top} then {{ self.v := self.v + 1; }}\n"
+            f"{down}  }}\n}}\n\nmotif row {{\n  map line(1);\n}}\n\n"
+            + "".join(f"component c{i:03}: cell {{ v = 0; }} in row at 0;\n\n"
+                      for i in range(1, n + 1)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_draw_is_random_choice_on_every_pool_size(seed):
+    # 300 cells fill up one at a time: the pool holds every empty cell,
+    # so its size falls from 300 to 1, and each draw must pick the cell
+    # `random.Random.choice` picks on a twin generator
+    world = sim.World(_system(_cells(300, 1, rules=1)), seed=seed)
+    twin = random.Random(f"run:{seed}")
+    empty = [f"c{i:03}" for i in range(1, 301)]
+    while empty:
+        cell = twin.choice(empty)
+        assert world.advance()["binding"] == {"self": cell}
+        empty.remove(cell)
+    assert world.advance() is None
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_draw_is_random_choice_on_revisited_pools(seed):
+    # four cells move between 0 and 2: pools of 4 to 8 moves, on 81
+    # states that the run keeps coming back to
+    system = _system(_cells(4, 2, rules=2))
+    world = sim.World(system, seed=seed)
+    twin = random.Random(f"run:{seed}")
+    sizes = Counter()
+    for _ in range(1000):
+        pool = step_candidates(world.cfg)
+        sizes[len(pool)] += 1
+        want = twin.choice(pool)
+        e = world.advance()
+        assert (e["motif"], e["rule"], e["binding"]) == (
+            want.motif, want.rule.name, dict(want.binding))
+    assert set(sizes) == {4, 5, 6, 7, 8}
+
+
 # -- the per-state record -----------------------------------------------------
 
 
@@ -472,6 +521,16 @@ def test_an_unknown_policy_is_rejected(policy):
             make(system, policy=policy)
 
 
+def test_an_unknown_controller_ego_is_rejected():
+    # a table keyed by a name that is no component would leave the heater's
+    # own moves free while its commands still play
+    system = _system(THERMOSTAT)
+    (steering,) = _band_controller(system).values()
+    for make in (sim.run, sim.World):
+        with pytest.raises(ValueError, match="'h9'"):
+            make(system, controllers={"h9": steering})
+
+
 def _outcome(trace):
     return trace.text(), [(c.name, c.ok, c.first_fail) for c in trace.checks]
 
@@ -482,6 +541,14 @@ def test_eviction_leaves_runs_unchanged(monkeypatch, bound):
     expected = {(name, s): _outcome(sim.run(system, seed=s, **kw))
                 for name, system, kw in runs for s in range(2)}
     monkeypatch.setattr(model, "RECORDS", bound)
+    advance = sim.World.advance
+
+    def bounded(world):
+        event = advance(world)
+        assert len(world._records) <= bound
+        return event
+
+    monkeypatch.setattr(sim.World, "advance", bounded)
     for name, system, kw in runs:
         for s in range(2):
             assert _outcome(sim.run(system, seed=s, **kw)) == expected[name, s], name
@@ -558,6 +625,57 @@ def test_world_lists_each_state_once(monkeypatch):
         world.advance()
     assert len(listed) < model.RECORDS
     assert max(listed.values()) == 1
+
+
+@pytest.mark.parametrize("steered", [False, True], ids=["free", "steered"])
+def test_a_revisited_state_costs_nothing_new(monkeypatch, steered):
+    # once a run has entered every state it reaches, it makes no record,
+    # and once it has taken each of their moves, it digests nothing
+    system = _system(THERMOSTAT)
+    controllers = _band_controller(system) if steered else None
+    listed = _count_listings(monkeypatch)
+    costs = Counter()
+    digest, make = model._digest, model.Record.__init__
+
+    def digesting(text):
+        costs["digest"] += 1
+        return digest(text)
+
+    def making(rec):
+        costs["record"] += 1
+        make(rec)
+
+    monkeypatch.setattr(model, "_digest", digesting)
+    monkeypatch.setattr(model.Record, "__init__", making)
+    advance = sim.World.advance
+    per_step = []
+
+    def counted(world):
+        before = Counter(costs)
+        event = advance(world)
+        per_step.append(costs - before)
+        return event
+
+    monkeypatch.setattr(sim.World, "advance", counted)
+    trace = sim.run(system, steps=10_000, seed=0, controllers=controllers)
+    assert trace.steps == 10_000
+    assert max(listed.values()) == 1
+    states, moves = {system.cfg.state_hash()}, set()
+    last_state = last_move = -1
+    pre = system.cfg.state_hash()
+    for e in trace.events:
+        move = (pre, e["motif"], e["rule"], tuple(sorted(e["binding"].items())))
+        if move not in moves:
+            moves.add(move)
+            last_move = e["step"]
+        if e["post"] not in states:
+            states.add(e["post"])
+            last_state = e["step"]
+        pre = e["post"]
+    assert len(states) == len(listed) < model.RECORDS
+    assert last_move < 1000
+    assert not any(step["record"] for step in per_step[last_state + 1:])
+    assert not any(per_step[last_move + 1:])
 
 
 def test_worlds_share_no_listing(monkeypatch):
