@@ -6,6 +6,7 @@ truth directly; it plans on the believed model its reflection maintains,
 so belief/truth divergence under weak sensors is observable.
 """
 
+import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -49,10 +50,15 @@ class SensorSpec:
     """What an agent can observe of the motif it is placed in.
 
     `visible` maps type name to the tuple of observable vars (None =
-    all); `noise` maps (type, var) to a Gaussian stdev.
+    all); `noise` maps (type, var) to a Gaussian stdev.  With `detect`
+    below 1, a component is detected when a draw ``x`` is below `detect`,
+    which `perceive` tests as ``x < cutoff``: `cutoff` is the
+    smallest double >= `detect`, so for every double ``x`` the float
+    comparison gives the exact one's verdict.
     """
 
-    __slots__ = ("motif", "radius", "visible", "identity", "noise", "detect")
+    __slots__ = ("motif", "radius", "visible", "identity", "noise", "detect",
+                 "cutoff")
 
     def __init__(self, motif, radius="inf", visible=None, identity=True,
                  noise=None, detect=Fraction(1)):
@@ -69,6 +75,8 @@ class SensorSpec:
             if sd < 0:
                 raise ValueError("noise stdev must be nonnegative")
         self.detect = Fraction(detect)
+        t = float(self.detect)
+        self.cutoff = t if t >= self.detect else math.nextafter(t, math.inf)
 
     @classmethod
     def from_def(cls, sd, default_motif=None):
@@ -131,6 +139,7 @@ def perceive(truth, ego, spec, step=0, rng=None):
     else:
         visible_nodes = set(m.map.hops_from(here, spec.radius))
 
+    draw = spec.detect < 1
     detections = []
     for cid in sorted(m.members):
         comp = truth.components[cid]
@@ -139,7 +148,7 @@ def perceive(truth, ego, spec, step=0, rng=None):
         node = truth.address(cid, mid)
         if node is None or node not in visible_nodes:
             continue
-        if spec.detect < 1 and not rng.random() < spec.detect:
+        if draw and not rng.random() < spec.cutoff:
             continue
         attrs = spec.visible[comp.type.name]
         names = sorted(comp.state) if attrs is None else [
@@ -199,16 +208,30 @@ def reflect(model, percept, repo=None, k_stale=5):
     stay unseen inside the visible region for `k_stale` steps are
     dropped.  Repository motif patterns then rebuild believed motifs over
     the updated model.
+
+    The revision is copy-on-write.  The sensed motif is copied only when
+    its members or map change, a tracked component only when some
+    detected value differs from the belief's, in value or in class, and
+    an address entry is set only when it moves.  So a percept that
+    changes nothing gives a belief sharing every component and motif,
+    each with its cached digest, with the one before.
     """
     cfg = model.cfg.clone()
     mid = model.motif
-    m = cfg._touch_motif(mid)
+    m = cfg.motif(mid)
     stale = dict(model.staleness)
     hypo = model.hypo
     seen = set()
 
+    def edit():
+        """The sensed motif, copied on its first edit."""
+        nonlocal m
+        if m is model.cfg.motifs[mid]:
+            m = cfg._touch_motif(mid)
+        return m
+
     def drop(cid):
-        m.members -= {cid}
+        edit().members -= {cid}
         cfg._unplace(cid, mid)
         if not any(cid in mm.members for mm in cfg.motifs.values()):
             del cfg.components[cid]
@@ -216,7 +239,7 @@ def reflect(model, percept, repo=None, k_stale=5):
         cfg._dirty()
 
     if m.map is not percept.map:
-        m.map = percept.map
+        edit().map = percept.map
         for cid in sorted(m.members):
             if cfg.address(cid, mid) not in m.map.nodes:
                 drop(cid)
@@ -228,11 +251,15 @@ def reflect(model, percept, repo=None, k_stale=5):
                 cid, cfg.types[det.type], det.state)
             cfg._dirty()
         else:
-            comp = cfg._touch_component(cid)
-            for k, v in det.state.items():
-                comp.state[k] = v
-        m.members |= {cid}
-        cfg._place(cid, mid, det.node)
+            # `1` and `Fraction(1)` are equal, but their texts differ
+            old = comp.state
+            if any(type(old.get(k)) is not type(v) or old[k] != v
+                   for k, v in det.state.items()):
+                cfg._touch_component(cid).state.update(det.state)
+        if cid not in m.members:
+            edit().members |= {cid}
+        if cfg.addresses.get((cid, mid)) != det.node:
+            cfg._place(cid, mid, det.node)
         stale[cid] = 0
         seen.add(cid)
 
@@ -370,18 +397,15 @@ class Record:
 class KnowledgeRepository:
     """Design-time and run-time agent knowledge.
 
-    Design time: the goal catalog, pattern names, library controllers
-    (name -> (goal name set, Controller)), and exceptional-event rules
-    (name, predicate over the believed cfg, directives to emit).  Run
-    time: provenance-stamped records.
+    Design time: the goal catalog, pattern names and library controllers
+    (name -> (goal name set, Controller)).  Run time: provenance-stamped
+    records.
     """
 
-    def __init__(self, goals=None, patterns=(), controllers=None,
-                 exceptional=()):
+    def __init__(self, goals=None, patterns=(), controllers=None):
         self.goals = dict(goals or {})
         self.patterns = list(patterns)
         self.controllers = dict(controllers or {})
-        self.exceptional = list(exceptional)
         self.records = []
 
     def record(self, step, kind, detail):
@@ -418,8 +442,7 @@ def adapt(repo, model, window, active_goals, recovery=None, horizon=3,
     - the uncontrollable-event-rate EWMA (`window` is its history,
       newest last, of which only the last 11 values are read) shrinks
       the horizon when it rises above theta_hi times its value 10 steps
-      ago and grows it below theta_lo times;
-    - repository exceptional-event rules fire their directives.
+      ago and grows it below theta_lo times.
     """
     th = checked_thresholds(thresholds)
     out = []
@@ -435,10 +458,6 @@ def adapt(repo, model, window, active_goals, recovery=None, horizon=3,
             out.append(SetHorizon(max(1, horizon - 1)))
         elif now < th["theta_lo"] * ref and horizon < th["horizon_cap"]:
             out.append(SetHorizon(horizon + 1))
-    for name, pred, directives in repo.exceptional:
-        if pred(model.cfg):
-            repo.record(step, "exceptional", name)
-            out.extend(directives)
     return out
 
 
@@ -512,7 +531,10 @@ class AgentRuntime:
     steps.  Deciding again on the same belief and goals plans nothing:
     the plan's value is in the belief's record.  Its adaptation state is
     fixed-size however long it runs: the EWMA is a float, and `window`
-    keeps the 11 newest values, all `adapt` reads."""
+    keeps the 11 newest values, all `adapt` reads.  The EWMA's `weights`
+    are ``float(alpha)`` and ``float(1 - alpha)``, the operands a
+    `Fraction` alpha falls back to with a float, so the EWMA has the
+    bits that exact-`alpha` arithmetic on a float gives."""
 
     def __init__(self, ego, spec, goals, truth, records, repo=None, horizon=3,
                  recovery=None, thresholds=None):
@@ -528,11 +550,13 @@ class AgentRuntime:
         self.records = records
         self.window = deque(maxlen=11)
         self.ewma = 0.0
+        a = self.thresholds["alpha"]
+        self.weights = (float(a), float(1 - a))
 
     def observe_event(self, uncontrollable):
         """Feed the committed event's controllability into the EWMA."""
-        a = self.thresholds["alpha"]
-        self.ewma = a * (1 if uncontrollable else 0) + (1 - a) * self.ewma
+        a, keep = self.weights
+        self.ewma = (a if uncontrollable else 0.0) + keep * self.ewma
         self.window.append(self.ewma)
 
     def step(self, truth, step, seed):

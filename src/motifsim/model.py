@@ -5,7 +5,8 @@ motifs and configurations.  Configurations have value semantics: the only
 way to change one is a rule's effects (`rules.apply`), which run on a
 private clone and return it, leaving the argument untouched.  The
 mutating helpers (prefixed ``_``) are reserved for those effects and for
-the agents' belief revision, which likewise work on clones.
+the agents' belief revision, which likewise work on clones and copy a
+component or motif only when they change it.
 
 Clones share their unchanged components, motifs and maps.  Motif
 members (a frozenset) and maps (`Map`) are values: an edit makes a new
@@ -14,8 +15,10 @@ one and puts it on the configuration's private copy of the motif
 place, on the private copy `Configuration._touch_component` takes first.
 Each `Map`, `ComponentInstance` and `Motif` caches its canonical tuple on
 first use, a `Map` that tuple's ``repr``, and a component or motif the
-64-bit digest of its ``repr`` (`_digest`); ``copy()`` resets the cache,
-and a map's cache lives as long as the map, which no edit changes.
+64-bit digest of its ``repr`` (`_digest`); ``copy()`` resets the cache.
+A map also keeps its undirected adjacency and its distances from each
+node asked about; its caches live as long as the map, which no edit
+changes.
 
 The state hash (version `HASH_VERSION`) is the XOR of one digest per
 fragment of the canonical key: each component, each motif, each address
@@ -97,9 +100,14 @@ def node_sort_key(n):
 class Map:
     """A directed graph of abstract coordinates with integer edge weights.
 
-    A value: `nodes` is a frozenset, and each edit returns a new map."""
+    A value: `nodes` is a frozenset, and each edit returns a new map.  What
+    a map derives from its edges is made on first use and kept with it:
+    its canonical tuple and text, the distances from each source
+    (`distance`) and the undirected adjacency (`hops_from`), whose size
+    is bounded by its edges.  `distance`, `hops_from` and `hop_distance`
+    raise `UnknownNode` on a node the map lacks."""
 
-    __slots__ = ("nodes", "out", "_dist", "_canon", "_text")
+    __slots__ = ("nodes", "out", "_dist", "_adj", "_canon", "_text")
 
     def __init__(self, nodes=(), edges=()):
         out = {n: {} for n in nodes}
@@ -113,7 +121,7 @@ class Map:
         self.nodes = frozenset(out)
         self.out = out
         self._dist = {}
-        self._canon = self._text = None
+        self._adj = self._canon = self._text = None
 
     def edge_list(self):
         return sorted(
@@ -177,12 +185,18 @@ class Map:
 
     def hops_from(self, src, radius=UNREACHABLE):
         """Undirected unit-weight hop counts from `src` to every node at
-        most `radius` hops away (used for sensing radii)."""
-        adj = {n: set() for n in self.nodes}
-        for x, d in self.out.items():
-            for y in d:
-                adj[x].add(y)
-                adj[y].add(x)
+        most `radius` hops away (used for sensing radii).  The BFS runs
+        over the map's undirected adjacency, made on first use and kept
+        as long as the map, like its canonical tuple."""
+        if src not in self.nodes:
+            raise UnknownNode(f"no node {src!r}")
+        adj = self._adj
+        if adj is None:
+            adj = self._adj = {n: set() for n in self.nodes}
+            for x, d in self.out.items():
+                for y in d:
+                    adj[x].add(y)
+                    adj[y].add(x)
         hops = {src: 0}
         frontier = [src]
         k = 0
@@ -199,6 +213,8 @@ class Map:
 
     def hop_distance(self, a, b):
         """Undirected unit-weight distance (used for sensing radii)."""
+        if b not in self.nodes:
+            raise UnknownNode(f"no node {b!r}")
         return self.hops_from(a).get(b, UNREACHABLE)
 
     def canonical(self):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -131,6 +132,20 @@ def test_noise_is_seeded_and_snapped():
     assert (temp * 2).denominator == 1
 
 
+@pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(2, 3), Fraction(3, 10),
+                               Fraction(9, 10), Fraction(0), Fraction(1)], ids=str)
+def test_the_detection_cutoff_gives_the_exact_verdict(p):
+    # the smallest double >= p: for 1/3 and 3/10 the nearest double lies
+    # below p, so `float(p)` would detect on a draw of exactly that double
+    cut = SensorSpec("road", detect=p).cutoff
+    assert type(cut) is float and cut >= p > math.nextafter(cut, -math.inf)
+    near = float(p)
+    rng = random.Random(0)
+    draws = [near, math.nextafter(near, -math.inf), math.nextafter(near, math.inf)]
+    draws += [rng.random() for _ in range(10_000)]
+    assert [x < cut for x in draws] == [x < p for x in draws]
+
+
 def test_invisible_types_are_not_sensed():
     cfg = _system(THERMOSTAT).cfg
     p = perceive(cfg, "h1", SensorSpec("house", visible={"heater": None}))
@@ -146,6 +161,68 @@ def test_reflect_reaches_fidelity_in_one_step():
     model = EnvModel.blank(cfg, "road")
     model = reflect(model, perceive(cfg, "v1", spec))
     assert restrict(model.cfg, spec) == restrict(cfg, spec)
+
+
+def _kept(new, old):
+    """The component and motif ids whose object `new` shares with `old`."""
+    return ({cid for cid, c in new.components.items() if old.components.get(cid) is c},
+            {mid for mid, m in new.motifs.items() if old.motifs.get(mid) is m})
+
+
+def test_reflect_copies_only_what_its_percept_changed():
+    cfg = _system(PLATOON).cfg
+    spec = _road_spec(radius=2)
+    model = reflect(EnvModel.blank(cfg, "road"), perceive(cfg, "v1", spec))
+    old = model.cfg
+    assert set(old.components) == {"v1", "v2"}
+
+    # nothing changed: every fragment is shared, so is the hash
+    same = reflect(model, perceive(cfg, "v1", spec, step=1)).cfg
+    assert _kept(same, old) == ({"v1", "v2"}, {"road", "platoon"})
+    assert same.state_hash() == old.state_hash()
+
+    # v1 moved: only its address entry is new
+    moved = next(c for c in step_candidates(cfg) if c.label == "road/advance[a=v1]").fire()
+    belief = reflect(model, perceive(moved, "v1", spec, step=1)).cfg
+    assert _kept(belief, old) == ({"v1", "v2"}, {"road", "platoon"})
+    assert belief.address("v1", "road") == 1
+    assert belief.state_hash() != old.state_hash()
+
+    # v2 slowed: only v2 is copied
+    slowed = cfg.clone()
+    slowed._touch_component("v2").state["speed"] = 0
+    belief = reflect(model, perceive(slowed, "v1", spec, step=1)).cfg
+    assert _kept(belief, old) == ({"v1"}, {"road", "platoon"})
+    assert belief.components["v2"].state["speed"] == 0
+
+    # v3 comes into view: the sensed motif is copied
+    belief = reflect(model, perceive(cfg, "v1", _road_spec(radius=4), step=1)).cfg
+    assert _kept(belief, old) == ({"v1", "v2"}, {"platoon"})
+    assert belief.motif("road").members == {"v1", "v2", "v3"}
+
+    # the truth's map changed: so is the sensed motif's
+    grown = cfg.clone()
+    road = grown._touch_motif("road")
+    road.map = road.map.add_node(99)
+    belief = reflect(model, perceive(grown, "v1", spec, step=1)).cfg
+    assert _kept(belief, old) == ({"v1", "v2"}, {"platoon"})
+    assert belief.motif("road").map is road.map
+
+
+def test_reflect_tells_equal_values_of_another_class_apart():
+    # `1` and `Fraction(1)` are equal but hash apart, so the belief takes
+    # the detected value
+    cfg = _system(PLATOON).cfg
+    spec = _road_spec(radius=2)
+    model = reflect(EnvModel.blank(cfg, "road"), perceive(cfg, "v1", spec))
+    assert model.cfg.components["v2"].state["speed"] == 1
+    p = perceive(cfg, "v1", spec, step=1)
+    for det in p.detections:
+        det.state = {k: Fraction(v) for k, v in det.state.items()}
+    belief = reflect(model, p).cfg
+    assert _kept(belief, model.cfg)[0] == set()
+    assert type(belief.components["v2"].state["speed"]) is Fraction
+    assert belief.state_hash() != model.cfg.state_hash()
 
 
 def test_reflect_tracks_movement():
@@ -399,18 +476,6 @@ def test_adapt_range_checks_its_thresholds():
               thresholds={"theta_hi": -1})
 
 
-def test_adapt_exceptional_rules_fire():
-    system = _system(THERMOSTAT)
-    repo = KnowledgeRepository(exceptional=[
-        ("hot", lambda c: c.components["room"].state["temp"] > 21,
-         [SetHorizon(1), EnterRecovery("reheat")])])
-    cfg = system.cfg.clone()
-    cfg._touch_component("room").state["temp"] = Fraction(22)
-    out = adapt(repo, EnvModel(cfg, "house"), [], [])
-    assert [d.kind for d in out] == ["set_horizon", "enter_recovery"]
-    assert any(r.kind == "exceptional" for r in repo.records)
-
-
 # -- goal management ---------------------------------------------------------
 
 
@@ -551,10 +616,13 @@ def test_adaptation_state_stays_fixed_size():
     alpha = DEFAULT_THRESHOLDS["alpha"]
     rng = random.Random(0)
     exact = Fraction(0)
+    fallback = 0.0  # a Fraction alpha on a float EWMA: the same bits
     for _ in range(10_000):
         unc = rng.random() < 0.3
         rt.observe_event(unc)
         exact = alpha * unc + (1 - alpha) * exact
+        fallback = alpha * (1 if unc else 0) + (1 - alpha) * fallback
+        assert rt.ewma == fallback
     assert type(rt.ewma) is float
     assert rt.ewma == pytest.approx(exact, rel=1e-9)
     assert len(rt.window) == 11

@@ -78,6 +78,17 @@ def test_hop_distance_ignores_direction():
     assert m.distance(2, 0) == UNREACHABLE
 
 
+def test_hop_queries_reject_a_node_the_map_lacks():
+    # as `distance` does, rather than a bare `KeyError` or an unreachable node
+    m = line_map(5)
+    for query in (lambda: m.hops_from(9), lambda: m.hops_from(9, 2),
+                  lambda: m.hop_distance(9, 1), lambda: m.hop_distance(1, 9),
+                  lambda: m.distance(1, 9)):
+        with pytest.raises(UnknownNode, match="no node 9"):
+            query()
+    assert m.hops_from(4, 1) == {4: 0, 3: 1}
+
+
 def test_int_range():
     d = IntRange(0, 5)
     assert d.contains(5) and not d.contains(6)
@@ -430,11 +441,18 @@ def test_map_edits_reset_the_cached_fragment():
              lambda m: m.remove_edge(0, 1), lambda m: m.remove_node(7)]
     for edit in edits:
         before = m.canonical_repr()
+        m.hops_from(0)
         edited = edit(m)
         assert edited is not m and isinstance(edited.nodes, frozenset)
         assert m.canonical_repr() == before == repr(_ref_map(m))
         assert edited.canonical_repr() != before
         assert edited.canonical() == _ref_map(edited)
+        # nor does it share the original's adjacency
+        undirected = Map(edited.nodes, [e for a, b, _ in edited.edge_list()
+                                        for e in ((a, b), (b, a))])
+        assert edited.hops_from(0) == {
+            n: undirected.distance(0, n) for n in edited.nodes
+            if undirected.distance(0, n) != UNREACHABLE}
         m = edited
 
 
@@ -488,7 +506,11 @@ TRACE_PINS = {
 }
 DYNAMIC_TRACE_PINS = ("713c5fcbb88b0af0", "7f2300045c1a1391", "b643ebc0a2579631",
                       "ace121dfed559adc", "e88b8c0b5d82624c")
-# the deliberative thermostat and platoon, default steps, seeds 0-4
+# the deliberative thermostat and platoon, default steps, seeds 0-4; and
+# two sensors of theirs: the thermostat's without identities and with
+# noise, so anonymous detections associate and temperatures are snapped
+# `Fraction`s, and the platoon's with `detect 0.3`, whose nearest double
+# lies below it
 DELIBERATIVE_TRACE_PINS = {
     "thermostat_deliberative": (
         "57aa19c5c3e5caad", "31dde4b84200c6ba", "d9b7784ae8e73365",
@@ -496,9 +518,20 @@ DELIBERATIVE_TRACE_PINS = {
     "platoon_deliberative": (
         "29629b6116376150", "5922fa6be63fd695", "b91139c464dc96b9",
         "210327c8aa7057a1", "dfb41a4cb162672a"),
+    "thermostat_anonymous": (
+        "3422a2608ed71bd3", "fddaa70bf8764ee7", "e12ba38cbe9090e5",
+        "9e87ac704b98a6ae", "31a5d9164a1046fa"),
+    "platoon_detect_03": (
+        "5e30d81628d97a04", "111056a283877ab6", "769492cebb8bfaef",
+        "d6cc8328b3caaa14", "5acb44bb671783fe"),
 }
 DELIBERATIVE = {"thermostat_deliberative": THERMOSTAT_DELIBERATIVE,
                 "platoon_deliberative": PLATOON_DELIBERATIVE}
+SENSOR_VARIANTS = {
+    "thermostat_anonymous": THERMOSTAT_DELIBERATIVE.replace(
+        "identity on;", "identity off;\n    noise space.temp 0.5;"),
+    "platoon_detect_03": PLATOON_DELIBERATIVE.replace("detect 0.8;", "detect 0.3;"),
+}
 
 # The same runs' behaviour without the state hash: `_free_digest` drops
 # every hash value from the trace (each event's `post` and `beliefs`, the
@@ -519,6 +552,12 @@ DELIBERATIVE_FREE_PINS = {
     "platoon_deliberative": (
         "15525f82337286f8", "83e67b828d8f3213", "e0f4bd8fe84e3c91",
         "7fcf2475feb03944", "3f6f1930e828c5d6"),
+    "thermostat_anonymous": (
+        "3f9a58be5779f22a", "3113ac85fbe5400b", "f921d8ca3d693c39",
+        "aa578ec5e797bc05", "a0c4ab5b1b7939db"),
+    "platoon_detect_03": (
+        "6d15d5ad2883fcf5", "394fae6160c941c0", "fb80f69135d5e6ff",
+        "e7aa7cf8de716944", "b61d41572e091892"),
 }
 
 
@@ -556,9 +595,10 @@ def test_pinned_dynamic_traces(well_formed):
     assert well_formed["committed"]
 
 
-@pytest.mark.parametrize("name", sorted(DELIBERATIVE))
+@pytest.mark.parametrize("name", sorted(DELIBERATIVE_TRACE_PINS))
 def test_pinned_deliberative_traces(name, well_formed):
-    traces = [sim.run(_build(DELIBERATIVE[name]), seed=s) for s in range(5)]
+    text = {**DELIBERATIVE, **SENSOR_VARIANTS}[name]
+    traces = [sim.run(_build(text), seed=s) for s in range(5)]
     _check_pins(traces, DELIBERATIVE_FREE_PINS[name], DELIBERATIVE_TRACE_PINS[name])
     assert well_formed["committed"] and well_formed["believed"]
 
