@@ -196,7 +196,7 @@ class EnvModel:
         return cls(Configuration((), motifs, truth.types), motif)
 
 
-def reflect(model, percept, repo=None, k_stale=5):
+def reflect(model, percept, patterns=(), k_stale=5):
     """Fold one percept into the believed model.
 
     The sensed motif takes the percept's map, so the truth's map edits
@@ -206,8 +206,8 @@ def reflect(model, percept, repo=None, k_stale=5):
     to the nearest tracked same-type component within 1 hop (ties by
     lexicographic id) or spawn a hypothesis.  Tracked components that
     stay unseen inside the visible region for `k_stale` steps are
-    dropped.  Repository motif patterns then rebuild believed motifs over
-    the updated model.
+    dropped.  The motif `patterns`, names in `PATTERNS`, then rebuild
+    believed motifs over the updated model.
 
     The revision is copy-on-write.  The sensed motif is copied only when
     its members or map change, a tracked component only when some
@@ -296,9 +296,8 @@ def reflect(model, percept, repo=None, k_stale=5):
                 drop(cid)
 
     out = EnvModel(cfg, mid, stale, hypo)
-    if repo is not None:
-        for name in repo.patterns:
-            out = PATTERNS[name](out)
+    for name in patterns:
+        out = PATTERNS[name](out)
     return out
 
 
@@ -382,7 +381,7 @@ PATTERNS = {"platoon_chain": _chain_pattern}
 
 
 # ---------------------------------------------------------------------------
-# knowledge repository and directives
+# knowledge repository
 
 
 class Record:
@@ -395,97 +394,65 @@ class Record:
 
 
 class KnowledgeRepository:
-    """Design-time and run-time agent knowledge.
+    """Run-time agent knowledge: provenance-stamped records.  What an
+    agent knows at design time, its goals, patterns and library
+    controller, its `AgentRuntime` takes at construction."""
 
-    Design time: the goal catalog, pattern names and library controllers
-    (name -> (goal name set, Controller)).  Run time: provenance-stamped
-    records.
-    """
-
-    def __init__(self, goals=None, patterns=(), controllers=None):
-        self.goals = dict(goals or {})
-        self.patterns = list(patterns)
-        self.controllers = dict(controllers or {})
+    def __init__(self):
         self.records = []
 
     def record(self, step, kind, detail):
         self.records.append(Record(step, kind, detail))
 
 
-class Directive:
-    __slots__ = ("kind", "arg")
-
-    def __init__(self, kind, arg=None):
-        self.kind = kind
-        self.arg = arg
-
-
-def SetHorizon(k):
-    return Directive("set_horizon", k)
-
-
-def EnterRecovery(goal_name):
-    return Directive("enter_recovery", goal_name)
-
-
 # ---------------------------------------------------------------------------
 # adaptation
 
 
-def adapt(repo, model, window, active_goals, recovery=None, horizon=3,
-          thresholds=None, step=0):
-    """Supervise the other modules; emit directives.
+def adapt(repo, model, window, active_goals, horizon, thresholds, step=0):
+    """Supervise the other modules; returns `(horizon, violated)`.
 
     - every active critical avoid predicate true on the believed model
-      appends a monitor record and emits EnterRecovery (the
+      appends a monitor record, and sets `violated` (the
       detect-isolate-recover hook);
     - the uncontrollable-event-rate EWMA (`window` is its history,
       newest last, of which only the last 11 values are read) shrinks
       the horizon when it rises above theta_hi times its value 10 steps
       ago and grows it below theta_lo times.
+
+    `thresholds` is a dict `checked_thresholds` returned.
     """
-    th = checked_thresholds(thresholds)
-    out = []
+    violated = False
     for g in active_goals:
         if g.criticality == CRITICAL and g.kind == AVOID and g.holds(model.cfg):
             repo.record(step, "violation", g.name)
-            if recovery is not None:
-                out.append(EnterRecovery(recovery))
+            violated = True
     if len(window) >= 11:
         now = window[-1]
         ref = window[-11]
-        if now > th["theta_hi"] * ref:
-            out.append(SetHorizon(max(1, horizon - 1)))
-        elif now < th["theta_lo"] * ref and horizon < th["horizon_cap"]:
-            out.append(SetHorizon(horizon + 1))
-    return out
+        if now > thresholds["theta_hi"] * ref:
+            horizon = max(1, horizon - 1)
+        elif now < thresholds["theta_lo"] * ref and horizon < thresholds["horizon_cap"]:
+            horizon += 1
+    return horizon, violated
 
 
 # ---------------------------------------------------------------------------
 # goal management
 
 
-def manage_goals(repo, directives, active_goals, horizon, feasible, step=0):
-    """Apply directives, order goals, keep a maximal feasible prefix.
+def manage_goals(repo, active_goals, horizon, feasible, recovery=None, step=0):
+    """Order goals, keep a maximal feasible prefix.
 
-    Goals sort critical-first, then priority, then declaration order.  A
-    goal is kept iff it is jointly satisfiable with everything already
-    kept (`feasible(goal list, horizon)`, at the horizon the directives
-    set); dropped goals are recorded.  Returns `(kept goals, horizon)`.
+    Goals sort critical-first, then priority, then declaration order,
+    after the `recovery` goal when one is given.  A goal is kept iff it
+    is jointly satisfiable with everything already kept
+    (`feasible(goal list, horizon)`); dropped goals are recorded.
+    Returns the kept goals.
     """
-    goals = list(active_goals)
-    recovery_first = []
-    for d in directives:
-        if d.kind == "set_horizon":
-            horizon = d.arg
-        elif d.kind == "enter_recovery":
-            g = repo.goals.get(d.arg)
-            if g is not None and all(x.name != g.name for x in recovery_first):
-                goals = [x for x in goals if x.name != g.name]
-                recovery_first.append(g)
-
-    goals.sort(key=lambda g: g.sort_key())
-    goals = recovery_first + goals
+    goals = sorted(active_goals, key=lambda g: g.sort_key())
+    if recovery is not None:
+        goals = [recovery] + [g for g in goals if g.name != recovery.name]
 
     kept = []
     for g in goals:
@@ -493,28 +460,30 @@ def manage_goals(repo, directives, active_goals, horizon, feasible, step=0):
             kept.append(g)
         else:
             repo.record(step, "dropped", g.name)
-    return kept, horizon
+    return kept
 
 
 # ---------------------------------------------------------------------------
 # decision
 
 
-def decide(cfg, goals, repo, ego, horizon, records=None):
+def decide(cfg, goals, library, ego, horizon, records=None):
     """One controllable command label, or None for idle.
 
-    The first library controller (by name) whose goals are among `goals`
-    and which wins at `cfg` plays its command there; otherwise a
-    finite-horizon plan is computed on `cfg`, through `records` (see
-    `plan_horizon`).  Raises `NoSafePlan` when the goals cannot be met.
+    The `library` controller, a `(goal names, Controller)` pair or None,
+    plays its command at `cfg` when its goals are among `goals` and it
+    wins there; otherwise a finite-horizon plan is computed on `cfg`,
+    through `records` (see `plan_horizon`).  Raises `NoSafePlan` when
+    the goals cannot be met.
     """
     if not goals:
         return None
-    names = {g.name for g in goals}
-    for _, (gnames, ctrl) in sorted(repo.controllers.items()):
-        if gnames <= names and (cmd := ctrl.command(cfg)) is not None:
-            break
-    else:
+    cmd = None
+    if library is not None:
+        gnames, ctrl = library
+        if gnames <= {g.name for g in goals}:
+            cmd = ctrl.command(cfg)
+    if cmd is None:
         cmd = plan_horizon(cfg, ego, goals, horizon, records).first_action
     return None if cmd == IDLE else cmd
 
@@ -524,28 +493,38 @@ def decide(cfg, goals, repo, ego, horizon, records=None):
 
 
 class AgentRuntime:
-    """Per-agent mutable state threaded through the simulation.  The agent
-    plans on its believed model `model.cfg`, which `reflect` maintains,
-    through per-state `records` (`model.record`): its `World`'s, which
-    hold its listings and plan values and which the `World` trims between
-    steps.  Deciding again on the same belief and goals plans nothing:
-    the plan's value is in the belief's record.  Its adaptation state is
-    fixed-size however long it runs: the EWMA is a float, and `window`
-    keeps the 11 newest values, all `adapt` reads.  The EWMA's `weights`
-    are ``float(alpha)`` and ``float(1 - alpha)``, the operands a
-    `Fraction` alpha falls back to with a float, so the EWMA has the
-    bits that exact-`alpha` arithmetic on a float gives."""
+    """Per-agent mutable state threaded through the simulation.  It is
+    given all it knows at design time when it is built: its `goals`, the
+    `recovery` goal it pursues first while a critical avoid goal is
+    violated, the checked `thresholds`, the motif `patterns` (names in
+    `PATTERNS`) `reflect` applies, and its `library` controller, a
+    `(goal names, Controller)` pair or None.  Its `repo` holds the
+    records it makes at run time.
 
-    def __init__(self, ego, spec, goals, truth, records, repo=None, horizon=3,
-                 recovery=None, thresholds=None):
+    The agent plans on its believed model `model.cfg`, which `reflect`
+    maintains, through per-state `records` (`model.record`): its
+    `World`'s, which hold its listings and plan values and which the
+    `World` trims between steps.  Deciding again on the same belief and
+    goals plans nothing: the plan's value is in the belief's record.
+    Its adaptation state is fixed-size however long it runs: the EWMA is
+    a float, and `window` keeps the 11 newest values, all `adapt` reads.
+    The EWMA's `weights` are ``float(alpha)`` and ``float(1 - alpha)``,
+    the operands a `Fraction` alpha falls back to with a float, so the
+    EWMA has the bits that exact-`alpha` arithmetic on a float gives."""
+
+    def __init__(self, ego, spec, goals, truth, records, horizon=3,
+                 recovery=None, thresholds=None, patterns=(), library=None):
+        if horizon < 1:
+            raise ValueError("horizon must be >= 1")
+        self.thresholds = checked_thresholds(thresholds)
         self.ego = ego
         self.spec = spec
-        self.repo = repo if repo is not None else KnowledgeRepository(
-            goals={g.name: g for g in goals})
+        self.repo = KnowledgeRepository()
         self.active = list(goals)
         self.horizon = horizon
         self.recovery = recovery
-        self.thresholds = checked_thresholds(thresholds)
+        self.patterns = tuple(patterns)
+        self.library = library
         self.model = EnvModel.blank(truth, spec.motif)
         self.records = records
         self.window = deque(maxlen=11)
@@ -571,22 +550,22 @@ class AgentRuntime:
         """
         rng = random.Random(f"{seed}:{self.ego}:{step}")
         percept = perceive(truth, self.ego, self.spec, step, rng)
-        self.model = reflect(self.model, percept, self.repo,
+        self.model = reflect(self.model, percept, self.patterns,
                              k_stale=self.thresholds["k_stale"])
-        directives = adapt(self.repo, self.model, self.window, self.active,
-                           recovery=self.recovery, horizon=self.horizon,
-                           thresholds=self.thresholds, step=step)
+        self.horizon, violated = adapt(self.repo, self.model, self.window,
+                                       self.active, self.horizon,
+                                       self.thresholds, step=step)
         cfg = self.model.cfg
         command = None
 
         def feasible(gs, h):
             nonlocal command
             try:
-                command = decide(cfg, gs, self.repo, self.ego, h, self.records)
+                command = decide(cfg, gs, self.library, self.ego, h, self.records)
             except NoSafePlan:
                 return False
             return True
 
-        _, self.horizon = manage_goals(
-            self.repo, directives, self.active, self.horizon, feasible, step=step)
+        manage_goals(self.repo, self.active, self.horizon, feasible,
+                     self.recovery if violated else None, step=step)
         return command

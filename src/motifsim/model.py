@@ -104,8 +104,8 @@ class Map:
     a map derives from its edges is made on first use and kept with it:
     its canonical tuple and text, the distances from each source
     (`distance`) and the undirected adjacency (`hops_from`), whose size
-    is bounded by its edges.  `distance`, `hops_from` and `hop_distance`
-    raise `UnknownNode` on a node the map lacks."""
+    is bounded by its edges.  `succ`, `distance`, `hops_from` and
+    `hop_distance` raise `UnknownNode` on a node the map lacks."""
 
     __slots__ = ("nodes", "out", "_dist", "_adj", "_canon", "_text")
 
@@ -150,7 +150,9 @@ class Map:
 
     def succ(self, n):
         """The unique out-neighbor of node `n`, or None if out-degree != 1."""
-        outs = self.out[n]
+        outs = self.out.get(n)
+        if outs is None:
+            raise UnknownNode(f"no node {n!r}")
         if len(outs) != 1:
             return None
         return next(iter(outs))

@@ -166,18 +166,17 @@ scenario {
 
 
 class Scenario:
-    """A named bundled model plus the seed sweep for its checks."""
+    """A named bundled model."""
 
-    def __init__(self, name, text, seeds=tuple(range(20))):
+    def __init__(self, name, text):
         self.name = name
         self.text = text
-        self.seeds = tuple(seeds)
 
     def parse(self):
         return self.build().model
 
     def build(self):
-        """A fresh System (initial configuration is mutable run state)."""
+        """A System parsed afresh from the scenario's text."""
         system, diags = load(self.text)
         if system is None:
             raise ValueError(f"bundled scenario {self.name!r} does not parse: "

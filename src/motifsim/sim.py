@@ -118,7 +118,9 @@ class World:
     """Mutable run state: truth configuration plus agent runtimes.
 
     `policy` is one of `POLICIES`, and each key of `controllers` names a
-    component; anything else raises `ValueError`.  `cfg` is the truth.
+    component; anything else raises `ValueError`.  A deliberative ego's
+    `(goal names, Controller)` pair is its runtime's library controller;
+    any other ego plays its controller as a table.  `cfg` is the truth.
     Its state hash and its `model.Record` are looked up when the `World`
     is made and when a step enters a successor, and kept until the next
     one: the pools and the failing checks read that record.  A step that
@@ -129,7 +131,8 @@ class World:
                  controllers=None):
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}; expected {', '.join(POLICIES)}")
-        for ego in controllers or ():
+        controllers = controllers or {}
+        for ego in controllers:
             if ego not in system.cfg.components:
                 raise ValueError(f"controller for {ego!r}, which names no component")
         self.system = system
@@ -148,26 +151,18 @@ class World:
         self._rec = record(self._records, self._hash)
         self.runtimes = {}
         for ego, ad in system.agent_defs.items():
-            goals = [system.goals[n] for n in ad.goals]
-            rt = AgentRuntime(ego, system.sensors[ego], goals,
-                              horizon=ad.horizon, recovery=ad.recovery,
-                              thresholds=ad.thresholds, truth=self.cfg,
-                              records=self._records)
-            rt.repo.patterns = list(ad.patterns)
-            if ad.recovery:
-                rt.repo.goals.setdefault(ad.recovery, system.goals[ad.recovery])
-            self.runtimes[ego] = rt
+            lib = controllers.get(ego)
+            self.runtimes[ego] = AgentRuntime(
+                ego, system.sensors[ego], [system.goals[n] for n in ad.goals],
+                self.cfg, self._records, horizon=ad.horizon,
+                recovery=system.goals[ad.recovery] if ad.recovery else None,
+                thresholds=ad.thresholds, patterns=ad.patterns,
+                library=None if lib is None else (frozenset(lib[0]), lib[1]))
         self._deliberative = frozenset(self.runtimes)
-        self.tables = {}
-        if controllers:
-            for ego, (gnames, ctrl) in controllers.items():
-                if ego in self.runtimes:
-                    self.runtimes[ego].repo.controllers["library"] = (
-                        frozenset(gnames), ctrl)
-                else:
-                    # table-driven ego: no deliberation, just play the
-                    # synthesized controller on the truth state
-                    self.tables[ego] = ctrl
+        # a table-driven ego does not deliberate: it plays its synthesized
+        # controller on the truth state
+        self.tables = {ego: ctrl for ego, (_, ctrl) in controllers.items()
+                       if ego not in self.runtimes}
 
     # -- the per-state record -----------------------------------------------
 

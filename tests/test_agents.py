@@ -6,8 +6,8 @@ import pytest
 
 from motifsim import agents, sim
 from motifsim.agents import (
-    AgentRuntime, DEFAULT_THRESHOLDS, EnterRecovery, EnvModel,
-    KnowledgeRepository, SensorSpec, SetHorizon, adapt,
+    AgentRuntime, DEFAULT_THRESHOLDS, EnvModel,
+    KnowledgeRepository, SensorSpec, adapt,
     decide, manage_goals, perceive, reflect,
 )
 from motifsim.errors import EgoUnplaced, NoSafePlan
@@ -387,9 +387,8 @@ def test_an_agent_without_a_sensor_block_senses_its_home_motif():
 def test_platoon_chain_pattern():
     cfg = _system(PLATOON).cfg
     spec = _road_spec()
-    repo = KnowledgeRepository(patterns=["platoon_chain"])
     model = reflect(EnvModel.blank(cfg, "road"), perceive(cfg, "v1", spec),
-                    repo)
+                    ["platoon_chain"])
     # 0, 2, 4, 6 is one chain with gaps of 2; the leader is frontmost
     assert "platoon_v4" in model.cfg.motifs
     assert model.cfg.motif("platoon_v4").members == {"v1", "v2", "v3", "v4"}
@@ -401,9 +400,8 @@ def test_platoon_chain_pattern_splits_on_gap():
     cfg = system.cfg.clone()
     cfg._place("v1", "road", 20)  # far from the others
     spec = _road_spec()
-    repo = KnowledgeRepository(patterns=["platoon_chain"])
     model = reflect(EnvModel.blank(cfg, "road"), perceive(cfg, "v1", spec),
-                    repo)
+                    ["platoon_chain"])
     assert model.cfg.motif("platoon_v4").members == {"v2", "v3", "v4"}
     assert "platoon_v1" not in model.cfg.motifs  # singletons are not platoons
 
@@ -412,11 +410,11 @@ def test_platoon_chain_pattern_unplaces_members_that_left():
     system = _system(PLATOON)
     cfg = system.cfg.clone()
     spec = _road_spec()
-    repo = KnowledgeRepository(patterns=["platoon_chain"])
-    model = reflect(EnvModel.blank(cfg, "road"), perceive(cfg, "v2", spec), repo)
+    patterns = ["platoon_chain"]
+    model = reflect(EnvModel.blank(cfg, "road"), perceive(cfg, "v2", spec), patterns)
     assert model.cfg.motif("platoon_v4").members == {"v1", "v2", "v3", "v4"}
     cfg._place("v1", "road", 20)  # v1 drives away from the chain
-    model = reflect(model, perceive(cfg, "v2", spec), repo)
+    model = reflect(model, perceive(cfg, "v2", spec), patterns)
     pm = model.cfg.motif("platoon_v4")
     assert pm.members == {"v2", "v3", "v4"}
     assert {cid for cid, mid in model.cfg.addresses if mid == "platoon_v4"} <= pm.members
@@ -434,7 +432,8 @@ def test_adapt_quiescent():
     system = _system(THERMOSTAT)
     model = EnvModel(system.cfg, "house")
     repo = KnowledgeRepository()
-    assert adapt(repo, model, [], [system.goals["band"]]) == []
+    assert adapt(repo, model, [], [system.goals["band"]], 3,
+                 DEFAULT_THRESHOLDS) == (3, False)
     assert repo.records == []
 
 
@@ -443,10 +442,8 @@ def test_adapt_detects_violation_and_recovers():
     cfg = system.cfg.clone()
     cfg._touch_component("room").state["temp"] = Fraction(17)
     repo = KnowledgeRepository()
-    out = adapt(repo, EnvModel(cfg, "house"), [], [system.goals["band"]],
-                recovery="reheat", step=9)
-    assert [d.kind for d in out] == ["enter_recovery"]
-    assert out[0].arg == "reheat"
+    assert adapt(repo, EnvModel(cfg, "house"), [], [system.goals["band"]], 3,
+                 DEFAULT_THRESHOLDS, step=9) == (3, True)
     recs = [r for r in repo.records if r.kind == "violation"]
     assert len(recs) == 1 and recs[0].step == 9
 
@@ -456,24 +453,13 @@ def test_adapt_ewma_shrinks_and_grows_horizon():
     model = EnvModel(system.cfg, "house")
     repo = KnowledgeRepository()
     rising = [Fraction(1, 10)] * 10 + [Fraction(1, 2)]
-    out = adapt(repo, model, rising, [], horizon=3)
-    assert [d.kind for d in out] == ["set_horizon"]
-    assert out[0].arg == 2
+    assert adapt(repo, model, rising, [], 3, DEFAULT_THRESHOLDS) == (2, False)
+    assert adapt(repo, model, rising, [], 1, DEFAULT_THRESHOLDS) == (1, False)
     falling = [Fraction(1, 2)] * 10 + [Fraction(1, 10)]
-    out = adapt(repo, model, falling, [], horizon=3)
-    assert [d.kind for d in out] == ["set_horizon"]
-    assert out[0].arg == 4
+    assert adapt(repo, model, falling, [], 3, DEFAULT_THRESHOLDS) == (4, False)
     # the cap stops growth
-    out = adapt(repo, model, falling, [],
-                horizon=DEFAULT_THRESHOLDS["horizon_cap"])
-    assert out == []
-
-
-def test_adapt_range_checks_its_thresholds():
-    system = _system(THERMOSTAT)
-    with pytest.raises(ValueError, match="theta_hi"):
-        adapt(KnowledgeRepository(), EnvModel(system.cfg, "house"), [], [],
-              thresholds={"theta_hi": -1})
+    cap = DEFAULT_THRESHOLDS["horizon_cap"]
+    assert adapt(repo, model, falling, [], cap, DEFAULT_THRESHOLDS) == (cap, False)
 
 
 # -- goal management ---------------------------------------------------------
@@ -486,10 +472,9 @@ def test_manage_goals_drops_infeasible_goals():
     g2 = Goal("impossible", "avoid", predicate=g1.predicate,
               criticality="best_effort", priority=5)
     feasible = lambda gs, h: all(g.name != "impossible" for g in gs)
-    kept, horizon = manage_goals(repo, [], [g2, g1], 3, feasible)
+    kept = manage_goals(repo, [g2, g1], 3, feasible)
     assert [g.name for g in kept] == ["band"]
     assert [r.detail for r in repo.records if r.kind == "dropped"] == ["impossible"]
-    assert horizon == 3
 
 
 def test_manage_goals_orders_critical_first():
@@ -498,7 +483,7 @@ def test_manage_goals_orders_critical_first():
     g1 = system.goals["band"]
     g2 = Goal("nicety", "avoid", predicate=g1.predicate,
               criticality="best_effort")
-    kept, _ = manage_goals(repo, [], [g2, g1], 3, lambda gs, h: True)
+    kept = manage_goals(repo, [g2, g1], 3, lambda gs, h: True)
     assert [g.name for g in kept] == ["band", "nicety"]
 
 
@@ -507,23 +492,10 @@ def test_manage_goals_recovery_goes_on_top():
     g1 = system.goals["band"]
     rec = Goal("reheat", "reach", predicate=g1.predicate,
                criticality="critical")
-    repo = KnowledgeRepository(goals={"reheat": rec})
-    kept, _ = manage_goals(repo, [EnterRecovery("reheat")], [g1], 3,
-                           lambda gs, h: True)
-    assert [g.name for g in kept] == ["reheat", "band"]
-
-
-def test_manage_goals_directives():
-    system = _system(THERMOSTAT)
-    g1 = system.goals["band"]
-    repo = KnowledgeRepository()
-    checked = []
-    kept, horizon = manage_goals(
-        repo, [SetHorizon(5)], [g1], 3,
-        lambda gs, h: checked.append(h) or True)
-    assert horizon == 5
-    # feasibility is judged at the horizon the directives set
-    assert checked == [5]
+    for active in ([g1], [g1, rec]):  # once, also when it is active
+        kept = manage_goals(KnowledgeRepository(), active, 3,
+                            lambda gs, h: True, recovery=rec)
+        assert [g.name for g in kept] == ["reheat", "band"]
 
 
 # -- decision ----------------------------------------------------------------
@@ -531,16 +503,15 @@ def test_manage_goals_directives():
 
 def test_decide_without_goals_is_idle():
     system = _system(THERMOSTAT)
-    assert decide(system.cfg, [], KnowledgeRepository(), "h1", 3) is None
+    assert decide(system.cfg, [], None, "h1", 3) is None
 
 
 def test_decide_plays_a_library_controller():
     system = _system(THERMOSTAT)
     key = system.cfg.state_hash() + ":a"
     ctrl = Controller({key}, {key: ("house/go[self=h1]",)})
-    repo = KnowledgeRepository(controllers={
-        "lib": (frozenset({"band"}), ctrl)})
-    lab = decide(system.cfg, [system.goals["band"]], repo, "h1", 3)
+    lab = decide(system.cfg, [system.goals["band"]], (frozenset({"band"}), ctrl),
+                 "h1", 3)
     assert lab == "house/go[self=h1]"
 
 
@@ -549,19 +520,15 @@ def test_decide_falls_back_to_planning_on_state_miss():
     cfg = system.cfg.clone()
     cfg._touch_component("room").state["temp"] = Fraction(18)
     ctrl = Controller({"deadbeef:a"}, {"deadbeef:a": ("nope",)})
-    repo = KnowledgeRepository(controllers={
-        "lib": (frozenset({"band"}), ctrl)})
-    lab = decide(cfg, [system.goals["band"]], repo, "h1", 2)
+    lab = decide(cfg, [system.goals["band"]], (frozenset({"band"}), ctrl), "h1", 2)
     assert lab is not None and "nope" not in lab
 
 
 def test_decide_raises_no_safe_plan():
     # an unavoidable critical goal: every first action loses
     imp = _system(THERMOSTAT + "\ngoal low critical avoid (room.temp >= 17.0);\n")
-    repo = KnowledgeRepository()
     with pytest.raises(NoSafePlan):
-        decide(imp.cfg, [imp.goals["low"]], repo, "h1", 2)
-    assert not repo.records
+        decide(imp.cfg, [imp.goals["low"]], None, "h1", 2)
 
 
 # -- the composed loop -------------------------------------------------------
@@ -631,11 +598,37 @@ def test_adaptation_state_stays_fixed_size():
 
 
 def test_thresholds_are_range_checked():
+    # once, at construction: `adapt` reads the runtime's checked dict
     system = _system(THERMOSTAT_DELIBERATIVE)
     spec = SensorSpec.from_def(system.agent_defs["h1"].sensor, "house")
-    with pytest.raises(ValueError, match="alpha outside"):
-        AgentRuntime("h1", spec, [], truth=system.cfg, records={},
-                     thresholds={"alpha": 3})
+    for thresholds, match in (({"alpha": 3}, "alpha outside"),
+                              ({"theta_hi": -1}, "theta_hi")):
+        with pytest.raises(ValueError, match=match):
+            AgentRuntime("h1", spec, [], truth=system.cfg, records={},
+                         thresholds=thresholds)
+
+
+def test_a_runtime_rejects_a_horizon_below_one():
+    # at construction, not at the first step's plan
+    system = _system(THERMOSTAT_DELIBERATIVE)
+    spec = SensorSpec.from_def(system.agent_defs["h1"].sensor, "house")
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        AgentRuntime("h1", spec, [], truth=system.cfg, records={}, horizon=0)
+
+
+def test_a_recovery_goal_need_not_be_among_the_goals():
+    # the room starts out of band: the heater's belief violates `band`,
+    # which cannot then be kept, and it switches on to reach `reheat`,
+    # which it is given as its recovery goal only
+    system = _system(THERMOSTAT_DELIBERATIVE.replace(
+        "temp = 20.0", "temp = 17.0") +
+        "\ngoal reheat critical reach (room.temp >= 18.0);\n")
+    spec = SensorSpec.from_def(system.agent_defs["h1"].sensor, "house")
+    rt = AgentRuntime("h1", spec, [system.goals["band"]], truth=system.cfg,
+                      records={}, recovery=system.goals["reheat"])
+    assert rt.step(system.cfg, 0, seed=0) == "house/off_to_on_0[self=h1]"
+    assert [(r.kind, r.detail) for r in rt.repo.records] == [
+        ("violation", "band"), ("dropped", "band")]
 
 
 def test_library_controller_covers_the_believed_state():
@@ -647,20 +640,18 @@ def test_library_controller_covers_the_believed_state():
     spec = SensorSpec.from_def(system.agent_defs["h1"].sensor, "house")
     low = system.goals["low"]
 
-    def runtime(repo=None):
-        return AgentRuntime("h1", spec, [low], repo=repo, horizon=2,
-                            truth=system.cfg, records={})
+    def runtime(library=None):
+        return AgentRuntime("h1", spec, [low], horizon=2, truth=system.cfg,
+                            records={}, library=library)
 
     probe = runtime()
     assert probe.step(system.cfg, 0, seed=0) is None
     assert any(r.kind == "dropped" for r in probe.repo.records)
     key = probe.model.digest() + ":a"
     ctrl = Controller({key}, {key: ("house/go[self=h1]",)})
-    repo = KnowledgeRepository(goals={"low": low}, controllers={
-        "lib": (frozenset({"low"}), ctrl)})
-    rt = runtime(repo)
+    rt = runtime((frozenset({"low"}), ctrl))
     assert rt.step(system.cfg, 0, seed=0) == "house/go[self=h1]"
-    assert not any(r.kind == "dropped" for r in repo.records)
+    assert not any(r.kind == "dropped" for r in rt.repo.records)
 
 
 def _count_plans(monkeypatch):
@@ -709,4 +700,4 @@ goal warm best_effort utility (room.temp) priority 1;
     assert horizons == [1, 1, 1]
     assert [(r.kind, r.detail) for r in rt.repo.records] == [
         ("dropped", "cooled")]
-    assert command == decide(rt.model.cfg, [band, warm], rt.repo, "h1", 1, {})
+    assert command == decide(rt.model.cfg, [band, warm], None, "h1", 1, {})

@@ -81,7 +81,7 @@ def test_hop_distance_ignores_direction():
 def test_hop_queries_reject_a_node_the_map_lacks():
     # as `distance` does, rather than a bare `KeyError` or an unreachable node
     m = line_map(5)
-    for query in (lambda: m.hops_from(9), lambda: m.hops_from(9, 2),
+    for query in (lambda: m.succ(9), lambda: m.hops_from(9), lambda: m.hops_from(9, 2),
                   lambda: m.hop_distance(9, 1), lambda: m.hop_distance(1, 9),
                   lambda: m.distance(1, 9)):
         with pytest.raises(UnknownNode, match="no node 9"):

@@ -199,14 +199,14 @@ def test_a_table_with_a_coverage_gap_leaves_the_ego_free():
 
 
 def test_a_deliberative_ego_plays_its_library_controller(monkeypatch):
-    # a controller given for a deliberative ego goes to its knowledge
-    # repository, not to the tables; the heater senses the truth exactly,
+    # a controller given for a deliberative ego is its runtime's library
+    # controller, not a table; the heater senses the truth exactly,
     # so the band controller covers every believed state and it never plans
     system = _system(THERMOSTAT_DELIBERATIVE)
     controllers = _band_controller(system)
     world = sim.World(system, seed=0, controllers=controllers)
     assert world.tables == {}
-    assert world.runtimes["h1"].repo.controllers["library"] == controllers["h1"]
+    assert world.runtimes["h1"].library == controllers["h1"]
 
     def no_plan(*args):
         raise AssertionError("planned")
@@ -226,7 +226,7 @@ def test_a_recovery_goal_is_pursued_first_in_a_world():
         "  horizon 3;", "  horizon 3;\n  recovery reheat;"))
     world = sim.World(system, seed=0)
     repo = world.runtimes["h1"].repo
-    assert repo.goals["reheat"] is system.goals["reheat"]
+    assert world.runtimes["h1"].recovery is system.goals["reheat"]
     assert [world.advance()["rule"] for _ in range(3)] == [
         "off_to_on_0", "warm", "warm"]
     assert [(r.step, r.kind, r.detail) for r in repo.records[:2]] == [
@@ -595,7 +595,7 @@ def test_a_decision_outlives_the_listings_of_its_plan(monkeypatch):
     cfg, goals = rt.model.cfg, list(rt.active)
 
     def decide():
-        return agents.decide(cfg, goals, rt.repo, rt.ego, rt.horizon, rt.records)
+        return agents.decide(cfg, goals, rt.library, rt.ego, rt.horizon, rt.records)
 
     first = decide()
     assert sum(listed.values()) > model.RECORDS
