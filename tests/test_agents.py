@@ -598,14 +598,20 @@ def test_adaptation_state_stays_fixed_size():
 
 
 def test_thresholds_are_range_checked():
+    system = _system(THERMOSTAT_DELIBERATIVE)
+    spec = SensorSpec.from_def(system.agent_defs["h1"].sensor, "house")
+    with pytest.raises(ValueError, match="alpha outside"):
+        AgentRuntime("h1", spec, [], truth=system.cfg, records={},
+                     thresholds={"alpha": 3})
+
+
+def test_adapt_range_checks_its_thresholds():
     # once, at construction: `adapt` reads the runtime's checked dict
     system = _system(THERMOSTAT_DELIBERATIVE)
     spec = SensorSpec.from_def(system.agent_defs["h1"].sensor, "house")
-    for thresholds, match in (({"alpha": 3}, "alpha outside"),
-                              ({"theta_hi": -1}, "theta_hi")):
-        with pytest.raises(ValueError, match=match):
-            AgentRuntime("h1", spec, [], truth=system.cfg, records={},
-                         thresholds=thresholds)
+    with pytest.raises(ValueError, match="theta_hi"):
+        AgentRuntime("h1", spec, [], truth=system.cfg, records={},
+                     thresholds={"theta_hi": -1})
 
 
 def test_a_runtime_rejects_a_horizon_below_one():
