@@ -105,20 +105,18 @@ class Detection:
 
 
 class Percept:
-    """What a sensor saw: its motif's id and map (the truth's `Map`, a
-    value), the detections and the nodes in range."""
+    """What a sensor saw: its motif's map (the truth's `Map`, a value), the
+    detections and the nodes in range."""
 
-    __slots__ = ("step", "motif", "map", "detections", "visible_nodes")
+    __slots__ = ("map", "detections", "visible_nodes")
 
-    def __init__(self, step, motif, map, detections, visible_nodes):
-        self.step = step
-        self.motif = motif
+    def __init__(self, map, detections, visible_nodes):
         self.map = map
         self.detections = detections
         self.visible_nodes = visible_nodes
 
 
-def perceive(truth, ego, spec, step=0, rng=None):
+def perceive(truth, ego, spec, rng=None):
     """Sense the motif around the ego's address.
 
     Components of visible types addressed within `spec.radius` hops are
@@ -165,7 +163,7 @@ def perceive(truth, ego, spec, step=0, rng=None):
         detections.append(Detection(comp.type.name,
                                     cid if spec.identity else None,
                                     node, state))
-    return Percept(step, mid, m.map, detections, visible_nodes)
+    return Percept(m.map, detections, visible_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +313,7 @@ def _chain_pattern(model):
     records by state hash."""
     cfg = model.cfg
     m = cfg.motif(model.motif)
-    ruled = {mid for mid, mm in cfg.motifs.items()
-             if mm.interaction_rules or mm.configuration_rules}
+    ruled = {mid for mid, mm in cfg.motifs.items() if mm.rules}
     placed = []
     for cid in m.members:
         at = cfg.address(cid, model.motif)
@@ -365,8 +362,7 @@ def _chain_pattern(model):
         pm = m.copy()
         pm.id = pid
         pm.members = members
-        pm.interaction_rules = []
-        pm.configuration_rules = []
+        pm.rules = []
         out.motifs[pid] = pm
         for at, cid in chain:
             out._place(cid, pid, at)
@@ -549,7 +545,7 @@ class AgentRuntime:
         means idle.
         """
         rng = random.Random(f"{seed}:{self.ego}:{step}")
-        percept = perceive(truth, self.ego, self.spec, step, rng)
+        percept = perceive(truth, self.ego, self.spec, rng)
         self.model = reflect(self.model, percept, self.patterns,
                              k_stale=self.thresholds["k_stale"])
         self.horizon, violated = adapt(self.repo, self.model, self.window,

@@ -77,7 +77,6 @@ class Expr:
     closure, `_compile(scope)`."""
 
     __slots__ = ()
-    prec = 8
 
     def compile(self, scope):
         """Return a closure `f(ctx) -> value` over the names `scope` gives
@@ -436,28 +435,50 @@ _ARITH = {
     "*": lambda a, b: a * b,
 }
 
-_PREC = {"or": 1, "and": 2, "=": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
-         "+": 5, "-": 5, "*": 6}
+#: The operator table, which both the parser and the printer read: the
+#: level each operator binds at, loosest first, with an operand at
+#: `OPERAND`.  `and` and `or` chain on either side, `+ - *` chain to the
+#: left, and a comparison does not chain: `a = b = c` is no expression.
+BINARY = {"or": 1, "and": 2, "=": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
+          "+": 5, "-": 5, "*": 6}
+PREFIX = {"not": 3, "-": 7}
+OPERAND = 8
+
+
+def left_level(op):
+    """The level the left operand of the binary operator `op` must bind
+    at: its own if it chains, one more if it does not."""
+    return BINARY[op] + (op in _CMP)
+
+
+def _level(e):
+    """The level the printed text of `e` binds at."""
+    if isinstance(e, Binary):
+        return BINARY[e.op]
+    if isinstance(e, Unary):
+        return PREFIX[e.op]
+    return OPERAND
 
 
 class Binary(Expr):
-    __slots__ = ("op", "l", "r", "prec")
+    """`l op r`.  Printing puts an operand in parentheses where it binds
+    looser than its place needs: the left one below `left_level(op)`, the
+    right one below the next level, or below `op`'s own for `and` and
+    `or`, which chain on the right too."""
+
+    __slots__ = ("op", "l", "r")
 
     def __init__(self, op, l, r):
         self.op = op
         self.l = l
         self.r = r
-        self.prec = _PREC[op]
 
     def unparse(self):
         ls = self.l.unparse()
-        if self.l.prec < self.prec:
+        if _level(self.l) < left_level(self.op):
             ls = f"({ls})"
         rs = self.r.unparse()
-        # left-associative: parenthesize right child at equal precedence
-        if self.r.prec <= self.prec and self.op not in ("and", "or"):
-            rs = f"({rs})"
-        elif self.r.prec < self.prec:
+        if _level(self.r) < BINARY[self.op] + (self.op not in ("and", "or")):
             rs = f"({rs})"
         return f"{ls} {self.op} {rs}"
 
@@ -515,8 +536,11 @@ class Binary(Expr):
 
 
 class Unary(Expr):
+    """`not e` or `-e`.  Printing puts the operand in parentheses where it
+    binds looser than `op` (a `not` under a minus), and always where it is
+    a binary operator: `not (a = b)`."""
+
     __slots__ = ("op", "e")
-    prec = 7
 
     def __init__(self, op, e):
         self.op = op
@@ -524,7 +548,7 @@ class Unary(Expr):
 
     def unparse(self):
         s = self.e.unparse()
-        if self.e.prec < self.prec:
+        if isinstance(self.e, Binary) or _level(self.e) < PREFIX[self.op]:
             s = f"({s})"
         if self.op == "not":
             return f"not {s}"

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from ..agents import DEFAULT_THRESHOLDS
 from ..expr import (
-    AddrRef, Binary, Distance, Empty, Lit, Member, Placed, Succ, Sym, Unary,
-    VarRef,
+    BINARY, OPERAND, PREFIX, AddrRef, Binary, Distance, Empty, Lit, Member,
+    Placed, Succ, Sym, Unary, VarRef, left_level,
 )
 from ..model import BoolDomain, EnumDomain, IntRange, RealRange, VarDecl
 from ..rules import (
@@ -80,8 +80,6 @@ def tokenize(text):
     tokens.append(Token("eof", None, line, pos - linestart + 1))
     return tokens
 
-
-_CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
 
 #: The builtins over node expressions, with an optional motif.
 _NODE_FNS = {"distance": Distance, "empty": Empty, "succ": Succ}
@@ -387,51 +385,34 @@ class Parser:
 
     # -- expressions --------------------------------------------------------
 
-    def expr(self):
-        return self.or_expr()
+    def expr(self, level=1):
+        """An expression binding at `level` or tighter, by precedence
+        climbing (Pratt, POPL 1973) over the operator table in `expr.py`,
+        which the printer reads too.
 
-    def or_expr(self):
-        e = self.and_expr()
-        while self.accept_kw("or"):
-            e = Binary("or", e, self.and_expr())
-        return e
-
-    def and_expr(self):
-        e = self.not_expr()
-        while self.accept_kw("and"):
-            e = Binary("and", e, self.not_expr())
-        return e
-
-    def not_expr(self):
-        if self.accept_kw("not"):
-            return Unary("not", self.not_expr())
-        return self.cmp_expr()
-
-    def cmp_expr(self):
-        e = self.add_expr()
-        t = self.peek()
-        if t.kind in _CMP_OPS:
+        `held` is the level of the left operand as written, so a
+        parenthesized expression is an operand.  A binary operator is
+        taken while it binds at `level` or tighter and `held` reaches its
+        `left_level`, so comparisons do not chain; its right operand binds
+        one level tighter, so the trees lean left.  `not` is an operator
+        only where an expression of its level may start; elsewhere it is a
+        name (`a.x = not`).
+        """
+        # a token's value is its text for an operator or an identifier
+        op = self.tokens[self.i].value
+        if PREFIX.get(op, 0) >= level:
             self.next()
-            return Binary(t.kind, e, self.add_expr())
-        return e
-
-    def add_expr(self):
-        e = self.mul_expr()
-        while self.at("+") or self.at("-"):
-            op = self.next().kind
-            e = Binary(op, e, self.mul_expr())
-        return e
-
-    def mul_expr(self):
-        e = self.unary_expr()
-        while self.accept("*"):
-            e = Binary("*", e, self.unary_expr())
-        return e
-
-    def unary_expr(self):
-        if self.accept("-"):
-            return Unary("-", self.unary_expr())
-        return self.primary()
+            held = PREFIX[op]
+            e = Unary(op, self.expr(held))
+        else:
+            e, held = self.primary(), OPERAND
+        while True:
+            op = self.tokens[self.i].value
+            if BINARY.get(op, 0) < level or left_level(op) > held:
+                return e
+            self.next()
+            held = BINARY[op]
+            e = Binary(op, e, self.expr(held + 1))
 
     def primary(self):
         t = self.peek()

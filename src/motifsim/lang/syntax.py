@@ -298,8 +298,7 @@ class MotifDef:
                 _rule(rules, r, f"motif {self.name!r} rule {r.name!r}"))
         with _at(self, f"motif {self.name!r}"):
             return Motif(self.name, self.mapspec.build(),
-                         interaction_rules=by_kind[INTERACTION],
-                         configuration_rules=by_kind[CONFIG])
+                         rules=by_kind[INTERACTION] + by_kind[CONFIG])
 
 
 class CompDef:
@@ -598,8 +597,7 @@ def _rule_names(cfg):
            + (t.controller.transitions if t.controller is not None else [])}
     names = set(own)
     for mid, m in cfg.motifs.items():
-        for name in own.union(r.name for r in m.interaction_rules
-                              + m.configuration_rules):
+        for name in own.union(r.name for r in m.rules):
             names |= {name, f"{mid}/{name}"}
     return names
 

@@ -453,19 +453,19 @@ class Motif:
 
     `members` is a frozenset and `map` a `Map`: both are values, so an
     edit puts a new one on a private copy (`Configuration._touch_motif`),
-    for example ``cfg._touch_motif(mid).members |= {cid}``."""
+    for example ``cfg._touch_motif(mid).members |= {cid}``.  `rules` holds
+    the interaction rules, then the configuration rules, each in
+    declaration order; a rule's `kind` says which it is."""
 
-    __slots__ = ("id", "map", "members", "interaction_rules", "configuration_rules",
-                 "_canon", "_digest", "_by_type")
+    __slots__ = ("id", "map", "members", "rules", "_canon", "_digest", "_by_type")
 
-    def __init__(self, mid, map, members=(), interaction_rules=(), configuration_rules=()):
+    def __init__(self, mid, map, members=(), rules=()):
         self.id = mid
         self.map = map
         self.members = frozenset(members)
-        self.interaction_rules = list(interaction_rules)
-        self.configuration_rules = list(configuration_rules)
+        self.rules = list(rules)
         names = set()
-        for r in self.interaction_rules + self.configuration_rules:
+        for r in self.rules:
             if r.name in names:
                 raise ValueError(f"duplicate rule {r.name!r}")
             names.add(r.name)
@@ -477,8 +477,7 @@ class Motif:
         m.id = self.id
         m.map = self.map
         m.members = self.members
-        m.interaction_rules = self.interaction_rules
-        m.configuration_rules = self.configuration_rules
+        m.rules = self.rules
         m._canon = m._digest = None
         m._by_type = self._by_type
         return m

@@ -654,11 +654,10 @@ def step_candidates(cfg):
     cands = []
     for mid in sorted(cfg.motifs):
         motif = cfg.motifs[mid]
-        for rules in (motif.interaction_rules, motif.configuration_rules):
-            for rule in rules:
-                for binding in enabled_bindings(cfg, mid, rule):
-                    cands.append(Candidate(
-                        cfg, mid, rule, binding, _agent_participants(cfg, binding)))
+        for rule in motif.rules:
+            for binding in enabled_bindings(cfg, mid, rule):
+                cands.append(Candidate(
+                    cfg, mid, rule, binding, _agent_participants(cfg, binding)))
         for cid in sorted(motif.members):
             comp = cfg.components[cid]
             ctrl = comp.type.controller if comp.type.kind == AGENT else None

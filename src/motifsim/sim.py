@@ -117,7 +117,8 @@ _SUCC, _POST = 5, 6
 class World:
     """Mutable run state: truth configuration plus agent runtimes.
 
-    `policy` is one of `POLICIES`, and each key of `controllers` names a
+    `policy` is one of `POLICIES` (`script` plays the scenario's
+    `policy script(...)`), and each key of `controllers` names a
     component; anything else raises `ValueError`.  A deliberative ego's
     `(goal names, Controller)` pair is its runtime's library controller;
     any other ego plays its controller as a table.  `cfg` is the truth.
@@ -127,8 +128,7 @@ class World:
     stutters or whose effect fails stays in its state, and in its
     record."""
 
-    def __init__(self, system, seed=0, policy="random", script=None,
-                 controllers=None):
+    def __init__(self, system, seed=0, policy="random", controllers=None):
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}; expected {', '.join(POLICIES)}")
         controllers = controllers or {}
@@ -139,8 +139,7 @@ class World:
         self.cfg = system.cfg
         self.seed = seed
         self.policy = policy
-        self.script = list(script if script is not None else
-                           (system.scenario.script if system.scenario else ()))
+        self.script = list(system.scenario.script if system.scenario else ())
         self.rng = random.Random(f"run:{seed}")
         self.step_no = 0
         self.rr = 0

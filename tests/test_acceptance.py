@@ -188,7 +188,7 @@ component c1: car { speed = 2; } in lane at 0;
 component c2: car { speed = 4; } in lane at 1;
 """)
     cfg = swap_model.cfg
-    rule = cfg.motif("lane").interaction_rules[0]
+    rule = cfg.motif("lane").rules[0]
     once = apply(cfg, "lane", rule, {"a": "c1", "b": "c2"})
     twice = apply(once, "lane", rule, {"a": "c1", "b": "c2"})
     assert twice.state_hash() == cfg.state_hash()
@@ -224,7 +224,7 @@ component c4: car { speed = 5; } in lane at 5;
 component c5: car { speed = 1; } in lane at 6;
 """)
     cfg = model5.cfg
-    rule = cfg.motif("lane").interaction_rules[0]
+    rule = cfg.motif("lane").rules[0]
     got = enabled_bindings(cfg, "lane", rule)
     guard = rule.guard_fn()
     members = sorted(cfg.motif("lane").members)
@@ -302,7 +302,7 @@ def test_criterion_09_reflection_fidelity():
         world = sim.World(system, seed=0)
         model = EnvModel.blank(world.cfg, motif)
         for step in range(steps + 1):
-            model = reflect(model, perceive(world.cfg, ego, spec, step))
+            model = reflect(model, perceive(world.cfg, ego, spec))
             assert restrict(model.cfg, spec) == restrict(world.cfg, spec), \
                 (ego, step)
             total += 1

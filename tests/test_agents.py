@@ -177,13 +177,13 @@ def test_reflect_copies_only_what_its_percept_changed():
     assert set(old.components) == {"v1", "v2"}
 
     # nothing changed: every fragment is shared, so is the hash
-    same = reflect(model, perceive(cfg, "v1", spec, step=1)).cfg
+    same = reflect(model, perceive(cfg, "v1", spec)).cfg
     assert _kept(same, old) == ({"v1", "v2"}, {"road", "platoon"})
     assert same.state_hash() == old.state_hash()
 
     # v1 moved: only its address entry is new
     moved = next(c for c in step_candidates(cfg) if c.label == "road/advance[a=v1]").fire()
-    belief = reflect(model, perceive(moved, "v1", spec, step=1)).cfg
+    belief = reflect(model, perceive(moved, "v1", spec)).cfg
     assert _kept(belief, old) == ({"v1", "v2"}, {"road", "platoon"})
     assert belief.address("v1", "road") == 1
     assert belief.state_hash() != old.state_hash()
@@ -191,12 +191,12 @@ def test_reflect_copies_only_what_its_percept_changed():
     # v2 slowed: only v2 is copied
     slowed = cfg.clone()
     slowed._touch_component("v2").state["speed"] = 0
-    belief = reflect(model, perceive(slowed, "v1", spec, step=1)).cfg
+    belief = reflect(model, perceive(slowed, "v1", spec)).cfg
     assert _kept(belief, old) == ({"v1"}, {"road", "platoon"})
     assert belief.components["v2"].state["speed"] == 0
 
     # v3 comes into view: the sensed motif is copied
-    belief = reflect(model, perceive(cfg, "v1", _road_spec(radius=4), step=1)).cfg
+    belief = reflect(model, perceive(cfg, "v1", _road_spec(radius=4))).cfg
     assert _kept(belief, old) == ({"v1", "v2"}, {"platoon"})
     assert belief.motif("road").members == {"v1", "v2", "v3"}
 
@@ -204,7 +204,7 @@ def test_reflect_copies_only_what_its_percept_changed():
     grown = cfg.clone()
     road = grown._touch_motif("road")
     road.map = road.map.add_node(99)
-    belief = reflect(model, perceive(grown, "v1", spec, step=1)).cfg
+    belief = reflect(model, perceive(grown, "v1", spec)).cfg
     assert _kept(belief, old) == ({"v1", "v2"}, {"platoon"})
     assert belief.motif("road").map is road.map
 
@@ -216,7 +216,7 @@ def test_reflect_tells_equal_values_of_another_class_apart():
     spec = _road_spec(radius=2)
     model = reflect(EnvModel.blank(cfg, "road"), perceive(cfg, "v1", spec))
     assert model.cfg.components["v2"].state["speed"] == 1
-    p = perceive(cfg, "v1", spec, step=1)
+    p = perceive(cfg, "v1", spec)
     for det in p.detections:
         det.state = {k: Fraction(v) for k, v in det.state.items()}
     belief = reflect(model, p).cfg
@@ -246,7 +246,7 @@ def test_staleness_drops_vanished_components():
     k = DEFAULT_THRESHOLDS["k_stale"]
     for i in range(k):
         assert "v2" in model.cfg.components  # still believed
-        model = reflect(model, perceive(gone, "v1", spec, step=i + 1))
+        model = reflect(model, perceive(gone, "v1", spec))
     assert "v2" not in model.cfg.components
     assert "v2" not in model.cfg.motif("road").members
 
@@ -259,7 +259,7 @@ def test_out_of_range_components_are_kept():
     # v4 leaves the radius-2 view: unseen but not inside the visible
     # region, so it must not accrue staleness
     for i in range(10):
-        model = reflect(model, perceive(cfg, "v1", spec, step=i))
+        model = reflect(model, perceive(cfg, "v1", spec))
     assert "v4" in model.cfg.components
 
 

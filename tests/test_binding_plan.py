@@ -100,7 +100,7 @@ def _system(text):
 def _rules(cfg):
     """Every rule of `cfg`: motif rules, dynamics, controller transitions."""
     for m in cfg.motifs.values():
-        yield from m.interaction_rules + m.configuration_rules
+        yield from m.rules
     for t in cfg.types.values():
         yield from t.dynamics
         if t.controller is not None:
@@ -112,7 +112,7 @@ def _instances(cfg):
     `step_candidates` makes on `cfg`."""
     for mid in sorted(cfg.motifs):
         m = cfg.motifs[mid]
-        for rule in m.interaction_rules + m.configuration_rules:
+        for rule in m.rules:
             yield mid, rule, None
         for cid in sorted(m.members):
             comp = cfg.components.get(cid)

@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 
 from motifsim import load, replay, run
-from motifsim.expr import fmt_num
+from motifsim.expr import (
+    AddrRef, Binary, Distance, Lit, Sym, Unary, VarRef, fmt_num,
+)
 from motifsim.lang import parse, print_model
 from motifsim.lang.parser import Parser
 from motifsim.lang.syntax import ParseError
@@ -47,6 +49,106 @@ def test_print_is_a_fixpoint_on_the_corpus():
 def test_bundled_texts_are_already_canonical():
     for text in CORPUS:
         assert print_model(_ok(text)) == text
+
+
+_BINARY_OPS = ("or", "and", "=", "!=", "<", "<=", ">", ">=", "+", "-", "*")
+_CMP_OPS = _BINARY_OPS[2:8]
+
+
+def _random_operand(rng):
+    k = rng.randrange(5)
+    if k == 0:
+        return Lit(rng.choice([0, 3, Fraction(5, 2), True, False]))
+    if k == 1:
+        return Sym(rng.choice(["a", "on", "off"]))
+    if k == 2:
+        return VarRef(rng.choice(["a", "self"]), "x")
+    if k == 3:
+        return AddrRef("a", rng.choice([None, "m"]))
+    return Distance(_random_expr(rng, rng.randrange(2)),
+                    _random_expr(rng, rng.randrange(2)), rng.choice([None, "m"]))
+
+
+def _random_expr(rng, depth):
+    """A random expression tree over all eleven binary operators, `not`,
+    unary minus and the operand kinds: an operand at depth 0, else an
+    operator whose operands are at most `depth - 1` operators deep."""
+    if depth == 0:
+        return _random_operand(rng)
+
+    def sub():
+        return _random_expr(rng, 0 if rng.random() < 0.25 else depth - 1)
+    k = rng.randrange(len(_BINARY_OPS) + 2)
+    if k < len(_BINARY_OPS):
+        return Binary(_BINARY_OPS[k], sub(), sub())
+    return Unary("not" if k == len(_BINARY_OPS) else "-", sub())
+
+
+def _random_trees(n=10_000, depth=4, seed=1):
+    rng = random.Random(seed)
+    return [_random_expr(rng, depth) for _ in range(n)]
+
+
+def _reprinted(e):
+    """An expression's printed text, after one parse and print."""
+    p = Parser(e.unparse())
+    back = p.expr()
+    p.expect("eof")
+    return back.unparse()
+
+
+def test_printing_any_expression_is_a_fixpoint():
+    for e in _random_trees():
+        assert _reprinted(e) == e.unparse()
+
+
+def _mended_shape(e):
+    """Whether `e` has a comparison as the left operand of a comparison,
+    or a `not` as an operand of a comparison, `+ - *` or unary minus: the
+    shapes an earlier printer gave text that did not parse back to it."""
+    if isinstance(e, Binary):
+        if e.op in _CMP_OPS and isinstance(e.l, Binary) and e.l.op in _CMP_OPS:
+            return True
+        if e.op not in ("and", "or") and any(
+                isinstance(k, Unary) and k.op == "not" for k in (e.l, e.r)):
+            return True
+        return _mended_shape(e.l) or _mended_shape(e.r)
+    if isinstance(e, Unary):
+        if e.op == "-" and isinstance(e.e, Unary) and e.e.op == "not":
+            return True
+        return _mended_shape(e.e)
+    if isinstance(e, Distance):
+        return _mended_shape(e.a) or _mended_shape(e.b)
+    return False
+
+
+#: SHA-256 over the printed text of every tree of `_random_trees()` without
+#: a mended shape, computed before the printer and parser shared one
+#: operator table: text that printed correctly then prints the same now
+PRINTED_TEXTS = (
+    "43fed5b7964241c0a034fe5210bf0ad352d02e1e12490480843135c82218016a")
+
+
+def test_correctly_printed_expressions_keep_their_text():
+    digest = hashlib.sha256()
+    kept = [e for e in _random_trees() if not _mended_shape(e)]
+    for e in kept:
+        digest.update(e.unparse().encode() + b"\0")
+    assert len(kept) == 3_955
+    assert digest.hexdigest() == PRINTED_TEXTS
+
+
+# a check comparing two comparisons, which once printed without the
+# parentheses around its left operand
+THERMOSTAT_IFF = THERMOSTAT.replace(
+    "  check inband", "  check iff always ((room.temp >= 22.0) = (h1.mode = on));\n"
+    "  check inband")
+
+
+def test_a_comparison_of_comparisons_round_trips():
+    assert print_model(_ok(THERMOSTAT_IFF)) == THERMOSTAT_IFF
+    system, diags = load(THERMOSTAT_IFF)
+    assert diags == [] and [c.name for c in system.scenario.checks] == ["iff", "inband"]
 
 
 def test_numeric_literal_formatting():

@@ -41,7 +41,7 @@ def _system(text=CONVOY):
 
 def _rule(cfg, motif, name):
     m = cfg.motif(motif)
-    for r in list(m.interaction_rules) + list(m.configuration_rules):
+    for r in m.rules:
         if r.name == name:
             return r
     raise AssertionError(name)

@@ -245,18 +245,23 @@ def test_round_robin_is_deterministic_and_rotates():
     assert len(rules) > 1  # the pointer visits different candidates
 
 
+def _scripted(*script):
+    """THERMOSTAT under a scenario that schedules `script`."""
+    return _system(THERMOSTAT.replace(
+        "policy random;", f"policy script({', '.join(script)});"))
+
+
 def test_script_policy_follows_the_script():
-    system = _system(THERMOSTAT)
     script = ["cool"] * 4 + ["off_to_on_0", "warm"]
-    world = sim.World(system, policy="script", script=script)
+    world = sim.World(_scripted(*script), policy="script")
     events = [world.advance() for _ in range(len(script))]
     assert [e["rule"] for e in events] == script
     assert world.cfg.components["h1"].state["mode"] == "on"
 
 
 def test_script_policy_stutters_on_disabled_rule():
-    system = _system(THERMOSTAT)
-    world = sim.World(system, policy="script", script=["warm"])  # mode is off
+    system = _scripted("warm")  # mode is off
+    world = sim.World(system, policy="script")
     e = world.advance()
     assert e["rule"] is None
     assert e["post"] == system.cfg.state_hash()
@@ -264,8 +269,7 @@ def test_script_policy_stutters_on_disabled_rule():
 
 
 def test_script_accepts_qualified_names():
-    system = _system(THERMOSTAT)
-    world = sim.World(system, policy="script", script=["house/cool"])
+    world = sim.World(_scripted("house/cool"), policy="script")
     e = world.advance()
     assert e["rule"] == "cool"
 
