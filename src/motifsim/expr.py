@@ -195,20 +195,31 @@ class Scope:
 
     def equal(self, e, tl, tr):
         """Reject the `=` or `!=` `e` between static types `tl` and `tr`
-        unless they are one type or a pair in `_EQUAL`."""
-        if self.cfg is not None and tl != tr and frozenset((tl, tr)) not in _EQUAL:
+        unless they are one type or a pair in `_EQUAL`, and a symbol
+        compared with an enum var that is none of its domain's values."""
+        if self.cfg is None or tl == tr:
+            return
+        if frozenset((tl, tr)) not in _EQUAL:
             raise ValueError(f"{e.unparse()} compares {_a(tl)} with {_a(tr)}")
+        if ENUM in (tl, tr):  # only a var is an enum
+            var, sym = (e.l, e.r) if tl == ENUM else (e.r, e.l)
+            self.admit(self.domain(var.owner, var.attr), var.unparse(), sym, SYMBOL)
 
-    def store(self, domain, target, e):
-        """The closure of `e`, the value an effect writes to `target`, a
-        var of `domain`; rejects a type no value of the domain has.  A
-        bool var takes a bool, an int or real var an int or a real, and
-        an enum var an enum or a symbol that is one of its values."""
-        f, t = e._compile(self)
+    def admit(self, domain, target, e, t):
+        """Reject `e`, of static type `t`, as a value of `target`, a var of
+        `domain`, unless the domain has a value of that type.  A bool var
+        takes a bool, an int or real var an int or a real, and an enum var
+        an enum or a symbol that is one of its values."""
         d = None if domain is None else domain.static
         if d and t != d and {t, d} != {INT, REAL} and not (
                 t == SYMBOL and d == ENUM and e.name in domain.values):
             raise ValueError(f"{e.unparse()} is {_a(t)}, not a value of {target}")
+
+    def store(self, domain, target, e):
+        """The closure of `e`, the value an effect writes to `target`, a
+        var of `domain` (`admit`)."""
+        f, t = e._compile(self)
+        self.admit(domain, target, e, t)
         return f
 
     def owner(self, name, attr=None, write=False):
@@ -547,17 +558,10 @@ class Binary(Expr):
         if types is None:
             scope.equal(self, tl, tr)
 
-        if op in ("and", "or"):
-            def as_bool(f):
-                def run(ctx):
-                    try:
-                        return f(ctx)
-                    except UnboundParam:
-                        return False
-                return run
-            bl, br = as_bool(fl), as_bool(fr)
-            if op == "and":
-                return (lambda ctx: bl(ctx) and br(ctx)), BOOL
+        if op == "and":
+            return conjoin(fl, fr), BOOL
+        if op == "or":
+            bl, br = total(fl), total(fr)
             return (lambda ctx: bl(ctx) or br(ctx)), BOOL
 
         if op in _CMP:
@@ -612,15 +616,25 @@ class Unary(Expr):
 TRUE = Lit(True)
 
 
-def compile_guard(expr, scope):
-    """Compile a guard, or the predicate of a goal or check: a bool,
-    which a checking `scope` makes sure of, false where it reads an
-    unbound optional."""
-    f = expr.compile(scope, (BOOL,))
-
+def total(f):
+    """The bool closure `f`, false where it reads an unbound optional."""
     def run(ctx):
         try:
             return f(ctx)
         except UnboundParam:
             return False
     return run
+
+
+def conjoin(fl, fr):
+    """The closure of `l and r` from the closures of `l` and `r`."""
+    bl, br = total(fl), total(fr)
+    return lambda ctx: bl(ctx) and br(ctx)
+
+
+def compile_guard(expr, scope):
+    """Compile the predicate of a goal or check: a bool, which a checking
+    `scope` makes sure of, false where it reads an unbound optional.  A
+    rule's guard is compiled conjunct by conjunct and composed the same
+    way (`Rule.compile`)."""
+    return total(expr.compile(scope, (BOOL,)))

@@ -7,7 +7,7 @@ to evaluate.  `Model.build` rejects a goal of another type, and, since
 goals are evaluated in no motif, one whose map lookup names no motif.
 """
 
-from .errors import EvalError
+from .errors import EngineError
 from .expr import INT, NODE, REAL, UNDEF, Ctx, Scope, UnboundParam, compile_guard
 
 CRITICAL = "critical"
@@ -23,15 +23,16 @@ class Goal:
 
     Critical goals are avoid/reach properties that must hold; best-effort
     goals are pursued when compatible.  Lower priority = more important.
-    A goal compiles its expressions when it is made, checking no name;
-    `Model.build` compiles them again against its configuration.
+    A goal compiles its expressions once, when it is made; given `cfg`,
+    as `Model.build` gives it, it checks every name they use against it,
+    and their types (`Scope`).  Without one it checks nothing.
     """
 
     __slots__ = ("name", "kind", "predicate", "utility", "criticality",
                  "priority", "order", "_pred_c", "_util_c")
 
     def __init__(self, name, kind, predicate=None, utility=None,
-                 criticality=BEST_EFFORT, priority=0, order=0):
+                 criticality=BEST_EFFORT, priority=0, order=0, cfg=None):
         if kind not in (AVOID, REACH, UTILITY):
             raise ValueError(f"bad goal kind {kind!r}")
         if criticality not in (CRITICAL, BEST_EFFORT):
@@ -49,17 +50,9 @@ class Goal:
         self.criticality = criticality
         self.priority = priority
         self.order = order
-        self._pred_c = self._util_c = None
-        self.compile()
-
-    def compile(self, cfg=None):
-        """Compile the predicate and the utility; with `cfg`, check every
-        name they use against it, and their types (`Scope`)."""
         scope = Scope(cfg=cfg)
-        if self.predicate is not None:
-            self._pred_c = compile_guard(self.predicate, scope)
-        if self.utility is not None:
-            self._util_c = self.utility.compile(scope, (INT, REAL, NODE))
+        self._pred_c = None if predicate is None else compile_guard(predicate, scope)
+        self._util_c = None if utility is None else utility.compile(scope, (INT, REAL, NODE))
 
     def holds(self, cfg):
         """Evaluate the avoid/reach predicate on a configuration."""
@@ -67,10 +60,11 @@ class Goal:
 
     def score(self, cfg):
         """Evaluate the utility expression on a configuration; an unbound
-        parameter, an evaluation error and an undefined address score 0."""
+        parameter, an engine error (an evaluation error, a node the map
+        lacks) and an undefined address score 0."""
         try:
             v = self._util_c(Ctx(cfg))
-        except (UnboundParam, EvalError):
+        except (UnboundParam, EngineError):
             return 0
         return 0 if v is UNDEF else v
 

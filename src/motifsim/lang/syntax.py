@@ -359,10 +359,8 @@ class GoalDef:
     def build(self, order, cfg):
         """The goal, its expression compiled against `cfg`."""
         expr = {"utility" if self.kind == UTILITY else "predicate": self.expr}
-        goal = Goal(self.name, self.kind, criticality=self.criticality,
-                    priority=self.priority, order=order, **expr)
-        goal.compile(cfg)
-        return goal
+        return Goal(self.name, self.kind, criticality=self.criticality,
+                    priority=self.priority, order=order, cfg=cfg, **expr)
 
 
 class SensorDef:

@@ -11,8 +11,10 @@ below are the only implementation of each configuration edit
 map edits); `apply` runs them on a private clone.
 """
 
+from functools import reduce
+
 from .errors import EffectError, EngineError
-from .expr import INT, PLACE, UNDEF, Binary, Ctx, Scope, UnboundParam, VarRef, compile_guard
+from .expr import BOOL, INT, PLACE, UNDEF, Binary, Ctx, Scope, UnboundParam, VarRef, conjoin, total
 from .model import AGENT, ComponentInstance
 
 INTERACTION = "interaction"
@@ -316,7 +318,10 @@ class MapEdit(Effect):
                 m.map = m.map.remove_node(vals[0])
             elif op == "addedge":
                 w = vals[2] if len(vals) > 2 else 1
-                m.map = m.map.add_edge(vals[0], vals[1], w)
+                try:
+                    m.map = m.map.add_edge(vals[0], vals[1], w)
+                except ValueError as exc:  # a negative weight
+                    raise EffectError(str(exc)) from exc
             else:
                 m.map = m.map.remove_edge(vals[0], vals[1])
         return run
@@ -359,15 +364,30 @@ class Rule:
 
     def compile(self, cfg=None):
         """Compile the guard, the effects and the `BindingPlan`; with
-        `cfg`, check every name they use against it (`Scope`).  A name an
-        effect's `create` binds is visible to the effects after it, not to
-        the guard.  `Model.build` calls this for every rule it builds; a
-        rule made by hand compiles on first use, in `plan`."""
+        `cfg`, check every name they use against it, and their types
+        (`Scope`).  The guard is read as a left-nested `and` chain
+        `c0 and c1 and ...`: each conjunct is compiled once, left to
+        right, through its own `Scope`, whose `resolved` names the
+        parameters it reads, and the guard is composed from those
+        closures as `Binary` composes `and`.  A name an effect's `create`
+        binds is visible to the effects after it, not to the guard.
+        `Model.build` calls this for every rule it builds; a rule made by
+        hand compiles on first use, in `plan`."""
         params = {p.name: p.type for p in self.params}
-        self._guard_c = compile_guard(self.guard, Scope(params, cfg))
+        chain = []
+        e = self.guard
+        while isinstance(e, Binary) and e.op == "and":
+            chain.append(e.r)
+            e = e.l
+        chain.append(e)
+        conjuncts = []
+        for c in reversed(chain):
+            scope = Scope(params, cfg)
+            conjuncts.append((c.compile(scope, (BOOL,)), scope.resolved))
+        self._guard_c = total(reduce(conjoin, [f for f, _ in conjuncts]))
         body = Scope(params, cfg, self_only=self.kind in (DYNAMICS, CONTROLLER))
         self._effects_c = [e.compile(body) for e in self.effects]
-        self._plan = BindingPlan(self)
+        self._plan = BindingPlan(self, conjuncts)
 
     def plan(self):
         if self._plan is None:
@@ -449,25 +469,25 @@ class BindingPlan:
 
     `fixed` is the name the caller pre-binds: `self`, for dynamics and
     controller transitions.  `required` lists, per required parameter,
-    `(name, type, test)`; `optional` lists `(name, type)`.  The guard is
-    read as a left-nested `and` chain `c0 and c1 and ...`.  `first`, run
-    once per call, tests its leading conjuncts that name no free
-    parameter (`Scope.resolved`: `self` and constants only), or is None.
-    The test of a required parameter other than the last runs the
-    conjuncts after those, up to the longest leading run whose names are
-    all bound once that parameter is, or is None when that run is no
-    longer than the one before.  So a conjunct is never tested before
-    one ahead of it in the chain, nor one that names an optional
-    parameter.  A subtree is skipped only when its test returns False:
-    every full guard below it is then False too, so no enabled binding,
-    order or raised error changes.  `enum`, built here once, runs one
-    `_level` per required parameter, then the `_leaf` if there are
-    optional ones.
+    `(name, type, test)`; `optional` lists `(name, type)`.  `conjuncts`
+    are the guard's `and` chain as `Rule.compile` compiled it: `(closure,
+    names read)` per conjunct, in order.  The test of a required
+    parameter other than the last runs the longest leading run of
+    conjuncts that read only `self` and the parameters bound once that
+    parameter is (one naming only constants reads none), or is None
+    when that run is no longer than the one before.  So a conjunct is
+    never tested before one ahead of it in the chain, nor one that names
+    an optional parameter, and a rule with one required parameter has no
+    test: its full guard decides.  A subtree is skipped only when its
+    test returns False: every full guard below it is then False too, so
+    no enabled binding, order or raised error changes.  `enum`, built
+    here once, runs one `_level` per required parameter, then the
+    `_leaf` if there are optional ones.
     """
 
-    __slots__ = ("fixed", "required", "optional", "types", "first", "enum")
+    __slots__ = ("fixed", "required", "optional", "types", "enum")
 
-    def __init__(self, rule):
+    def __init__(self, rule, conjuncts):
         fixed = {"self"} if rule.kind in (DYNAMICS, CONTROLLER) else set()
         free = [p for p in rule.params if p.name not in fixed]
         required = [p for p in free if p.required]
@@ -475,49 +495,20 @@ class BindingPlan:
         self.optional = [(p.name, p.type) for p in free if not p.required]
         self.types = list(dict.fromkeys(p.type for p in free))
         self.required = [(p.name, p.type, None) for p in required]
-        self.first = None
-        if free:
-            self._hoist(rule, fixed, required)
+        bound = set(fixed)
+        run = 0
+        for i, p in enumerate(required[:-1]):
+            bound.add(p.name)
+            prev = run
+            while run < len(conjuncts) and conjuncts[run][1] <= bound:
+                run += 1
+            if run > prev:
+                test = _leading_test([f for f, _ in conjuncts[:run]])
+                self.required[i] = (p.name, p.type, test)
         step = _leaf(self.optional) if self.optional else None
         for name, tname, test in reversed(self.required):
             step = _level(name, tname, test, step)
         self.enum = step
-
-    def _hoist(self, rule, fixed, required):
-        """Set `first` and the tests in `required` from `rule`'s guard."""
-        chain = []
-        e = rule.guard
-        while isinstance(e, Binary) and e.op == "and":
-            chain.append(e.r)
-            e = e.l
-        chain.append(e)
-        chain.reverse()
-        # the leading conjuncts some test can run, compiled with their names
-        hoistable = fixed.union(p.name for p in required[:-1])
-        params = {p.name: p.type for p in rule.params}
-        leading = []
-        for c in chain:
-            scope = Scope(params)
-            f = c.compile(scope)
-            if not scope.resolved <= hoistable:
-                break
-            leading.append((f, scope.resolved))
-
-        bound = set(fixed)
-        run = 0
-        while run < len(leading) and leading[run][1] <= bound:
-            run += 1
-        if run:
-            self.first = _leading_test([f for f, _ in leading[:run]])
-        start = run
-        for i, p in enumerate(required[:-1]):
-            bound.add(p.name)
-            prev = run
-            while run < len(leading) and leading[run][1] <= bound:
-                run += 1
-            if run > prev:
-                test = _leading_test([f for f, _ in leading[start:run]])
-                self.required[i] = (p.name, p.type, test)
 
 
 def enabled_bindings(cfg, motif_id, rule, fixed=None):
@@ -531,11 +522,11 @@ def enabled_bindings(cfg, motif_id, rule, fixed=None):
     `fixed` pre-binds `self` for dynamics and controller transitions
     (which need not be motif-member-checked), and nothing else: the
     names of the rule's `BindingPlan`.  A rule with no free parameter
-    runs its guard once; any other runs its plan's `first` test, then
-    the plan's enumerator over the motif's members of each parameter's
-    type (`Motif.members_by_type`), which skips the subtrees whose
-    leading guard conjuncts are already False.  The full guard, from
-    `rule.guard_fn()`, runs on each complete binding.
+    runs its guard once; any other runs the plan's enumerator over the
+    motif's members of each parameter's type (`Motif.members_by_type`),
+    which skips the subtrees whose leading guard conjuncts are already
+    False.  The full guard, from `rule.guard_fn()`, runs on each
+    complete binding.
     """
     guard = rule.guard_fn()
     plan = rule._plan
@@ -546,20 +537,7 @@ def enabled_bindings(cfg, motif_id, rule, fixed=None):
     ctx = Ctx(cfg, cfg.motif(motif_id), binding)
     if not plan.types:
         return [binding] if guard(ctx) else []
-    held = True if plan.first is None else plan.first(ctx)
-    if held is False:
-        return []
     of_type = ctx.motif.members_by_type(plan.types, cfg.components)
-    if held is None:
-        # the full guard raises where `first` stopped, on every complete
-        # binding: it runs on the first one, if the members make one
-        complete = dict(binding)
-        for name, tname, _ in plan.required:
-            cid = next((c for c in of_type[tname] if c not in complete.values()), None)
-            if cid is None:
-                return []
-            complete[name] = cid
-        guard(Ctx(cfg, ctx.motif, complete))
     out = []
     plan.enum(ctx, binding, of_type, guard, out)
     return out
@@ -570,8 +548,8 @@ def apply(cfg, motif_id, rule, binding):
 
     Returns the new configuration.  On any failing effect the original
     configuration is untouched and `EffectError` is raised: an undefined
-    address, a value outside its var's domain, a missing node, member or
-    component.  No effect of a built rule fails on a type: `Model.build`
+    address, a value outside its var's domain, a negative edge weight, a
+    missing node, member or component.  No effect of a built rule fails on a type: `Model.build`
     typed every value it writes and every node it places, an int or a
     str.  The result is not checked again: each effect keeps the
     configuration well-formed (every member exists; every address

@@ -7,7 +7,7 @@ import pytest
 
 import binding_oracle
 from motifsim.errors import EffectError, EvalError
-from motifsim.expr import Ctx
+from motifsim.expr import Binary, Ctx, Scope
 from motifsim.lang import load
 from motifsim.model import AGENT
 from motifsim.rules import CONFIG, Rule, apply, enabled_bindings
@@ -16,10 +16,10 @@ from test_model import PLATOON_DELIBERATIVE
 
 # One rule per case the plan must get right; `c5` is placed nowhere, so
 # `@(c5)` is undefined and a distance from it an `EvalError`.  The bikes
-# run `shift`'s first test, which names only `self`: `k2`'s is False,
-# `k1`'s True, and `k3`, placed nowhere, raises on `distance(0, @(self))`.
-# Then the guard raises on every complete binding, even where no car
-# passes `a.speed > 4`.
+# run `shift`'s level-0 test, which leads with two conjuncts naming only
+# `self`: `k2` fails them, `k1` passes them, and `k3`, placed nowhere,
+# raises on `distance(0, @(self))`.  Then the guard raises on every
+# complete binding, even where no car passes `a.speed > 4`.
 SYNTHETIC = """\
 type car agent {
   var speed: int[0, 5];
@@ -223,13 +223,13 @@ def _tests(model, name):
     ("platoon", "form", [True, False]),
     ("synthetic", "pair", [True, False]),  # optional `c` never hoisted
     ("synthetic", "near", [True, False]),  # constant `c3` is not a parameter
-    ("synthetic", "watch", [False, False]),  # `c3.ok` is tested first
+    ("synthetic", "watch", [True, False]),  # `c3.ok` joins `a`'s test
     ("synthetic", "risky", [True, False]),
     ("synthetic", "late", [False, False]),  # `b` first blocks `a.speed > 3`
     ("synthetic", "later", [False, False]),
     ("synthetic", "odd", [True, False]),
     ("synthetic", "trio", [True, True, False]),
-    ("synthetic", "haul", [True, False]),  # `self.load > 0` is tested first
+    ("synthetic", "haul", [True, False]),  # `self.load > 0` leads `a`'s test
     ("synthetic", "calm_to_eager_0", [True, False]),
     ("synthetic", "speedup", [False]),
     ("synthetic", "shift", [True, False]),
@@ -238,37 +238,43 @@ def test_leading_conjuncts_are_hoisted_in_chain_order(model, name, tests):
     assert _tests(model, name) == tests
 
 
-@pytest.mark.parametrize("model, name, first", [
-    ("platoon", "form", False),
-    ("thermostat", "cool", False),  # `h.mode = off` names a parameter
-    ("synthetic", "near", False),
-    ("synthetic", "watch", True),   # a constant only
-    ("synthetic", "haul", True),
-    ("synthetic", "fill", True),    # one required parameter
-    ("synthetic", "calm_to_eager_0", True),
-    ("synthetic", "shift", True),
-    ("synthetic", "eager_to_calm_1", False),  # no free parameter
-])
-def test_conjuncts_that_name_no_free_parameter_are_tested_first(model, name, first):
-    rule, = (r for r in _rules(_system(MODELS[model]).cfg) if r.name == name)
-    assert (rule.plan().first is not None) == first
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_build_compiles_each_guard_conjunct_and_goal_once(monkeypatch, name):
+    compiled = []  # each expression a `Scope` was asked for, once per ask
+    want = Scope.want
+
+    def counted(self, e, types):
+        compiled.append(e)
+        return want(self, e, types)
+
+    monkeypatch.setattr(Scope, "want", counted)
+    system = _system(MODELS[name])
+    roots = [g.predicate if g.predicate is not None else g.utility
+             for g in system.goals.values()]
+    for rule in _rules(system.cfg):
+        e = rule.guard
+        while isinstance(e, Binary) and e.op == "and":
+            roots.append(e.r)
+            e = e.l
+        roots.append(e)
+    # a rule with no `if` shares `expr.TRUE`: once per rule that has it
+    asks = [sum(c is r for c in compiled) for r in roots]
+    assert asks == [sum(o is r for o in roots) for r in roots]
 
 
 def test_a_transitions_mode_test_leads_its_guards_chain():
-    # `self.mode = calm` is tested once per call, before level 0, and
-    # `a.speed > self.speed` at level 0, so an `a` no faster than `self`
-    # is skipped before `b` is bound
+    # `self.mode = calm` and `a.speed > self.speed` are tested at level 0,
+    # so an `a` no faster than `self`, or a `self` not calm, is skipped
+    # before `b` is bound
     cfg = _system(SYNTHETIC).cfg
     rule, = (r for r in _rules(cfg) if r.name == "calm_to_eager_0")
-    plan = rule.plan()
-    (_, _, test), _ = plan.required
+    (_, _, test), _ = rule.plan().required
     lane = cfg.motif("lane")
-    assert plan.first(Ctx(cfg, lane, {"self": "c1"})) is True
     assert test(Ctx(cfg, lane, {"self": "c1", "a": "c3"})) is True
     assert test(Ctx(cfg, lane, {"self": "c1", "a": "c2"})) is False
     eager = cfg.clone()
     eager._touch_component("c1").state["mode"] = "eager"
-    assert plan.first(Ctx(eager, lane, {"self": "c1"})) is False
+    assert test(Ctx(eager, lane, {"self": "c1", "a": "c3"})) is False
     assert enabled_bindings(eager, "lane", rule, {"self": "c1"}) == []
     assert rule.guard.unparse() == (
         "self.mode = calm and a.speed > self.speed and b.speed < a.speed")
@@ -283,11 +289,15 @@ def test_a_first_test_prunes_only_when_false(bike, first, error):
     cfg = _system(SYNTHETIC).cfg
     rules = {r.name: r for r in _rules(cfg)}
     shift, fixed = rules["shift"], {"self": bike}
-    ctx = Ctx(cfg, cfg.motif("fast"), dict(fixed))
-    assert shift.plan().first(ctx) is first
+    (_, _, test), _ = shift.plan().required
+    # the level-0 test, with `a` bound to a car faster than 4
+    faster = cfg.clone()
+    faster._touch_component("c1").state["speed"] = 5
+    assert test(Ctx(faster, faster.motif("fast"), {**fixed, "a": "c1"})) is first
     # `c1` alone is in `fast`: no complete binding, so nothing raises
     assert enabled_bindings(cfg, "fast", shift, fixed) == []
-    # with `c2` too, no car is faster than 4, so only `first` decides
+    # with `c2` too, no car is faster than 4: only a bike that raises on
+    # the conjuncts naming `self` keeps a subtree, where the guard raises
     cfg = apply(cfg, "lane", rules["enter"], {"a": "c2"})
     want = _outcome(binding_oracle.enabled_bindings, cfg, "fast", shift, fixed)
     assert _outcome(enabled_bindings, cfg, "fast", shift, fixed) == want

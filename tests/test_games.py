@@ -501,6 +501,12 @@ def test_a_utility_that_fails_to_evaluate_scores_0():
     assert lost.score(_thermostat_system().cfg) == 0
 
 
+def test_a_utility_on_a_node_the_map_lacks_scores_0():
+    # `distance` raises `UnknownNode`, an engine error but no `EvalError`
+    far = _thermostat_goal("goal g best_effort utility (distance(@(h1, house), 9, house));")
+    assert far.score(_thermostat_system().cfg) == 0
+
+
 @pytest.mark.parametrize("kwargs, message", [
     (dict(kind="maybe", predicate=TRUE), "bad goal kind 'maybe'"),
     (dict(kind=AVOID, predicate=TRUE, criticality="urgent"),

@@ -764,6 +764,13 @@ TYPE_ERRORS = [
                                     " then { self.mode := heatt; }"),
                  (4, 5, "type 'heater' transition off->on: heatt is a symbol,"
                         " not a value of self.mode"), id="enum-typo"),
+    pytest.param(THERMOSTAT.replace("h.mode = off", "h.mode = offf"),
+                 (12, 5, "type 'space' rule 'cool': offf is a symbol, not a value of h.mode"),
+                 id="enum-typo-compare"),
+    pytest.param(THERMOSTAT.replace("(room.temp >= 17.5 and room.temp <= 22.5)",
+                                    "(h1.mode != onn)"),
+                 (31, 3, "check 'inband': onn is a symbol, not a value of h1.mode"),
+                 id="enum-typo-check"),
     pytest.param(_typed("a: car then { exchange(a.temp, a.mood); }"),
                  (10, 10, "motif 'lane' rule 'r': a.mood is an enum, not a value of a.temp"),
                  id="exchange"),

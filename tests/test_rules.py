@@ -402,8 +402,9 @@ def test_a_distance_to_a_non_node_raises(guard):
     ("delete(a); a.speed := 1;", "no component 'c1'"),
     ("delete(c2); join(c2, fast);", "motif 'fast' references missing component 'c2'"),
     ("delete(c2); a.speed := c2.speed;", "effect reads deleted component 'c2'"),
+    ("addedge(2, 0, 0 - 1);", "edge weight must be nonnegative"),
 ], ids=["real-range", "move", "create", "migrate", "map-edit", "removenode", "leave",
-        "deleted-self", "join-deleted", "deleted-constant"])
+        "deleted-self", "join-deleted", "deleted-constant", "negative-weight"])
 def test_an_effect_that_fails_is_an_error_event(effects, error):
     events = _first_step(f"a: car if @(a) = 0 then {{ {effects} }}")
     assert [(e["binding"], e["error"]) for e in events] == [({"a": "c1"}, error)]
