@@ -543,16 +543,19 @@ def enabled_bindings(cfg, motif_id, rule, fixed=None):
 
     `fixed` pre-binds `self` for dynamics and controller transitions
     (which need not be motif-member-checked), and nothing else: the
-    names of the rule's `BindingPlan`.  A rule with no free parameter
-    runs its guard once; any other runs the plan's enumerator over the
-    motif's members of each parameter's type (`Motif.members_by_type`),
-    which skips the subtrees whose leading guard conjuncts are already
-    False.  The full guard, from `rule.guard_fn()`, runs on each
+    names of the rule's `BindingPlan`.  The call takes the `fixed` dict
+    over, so pass a fresh one: a rule with no free parameter returns it
+    as its one binding, and any other binds its parameters into it
+    while it enumerates (and leaves them there if a guard raises).  A
+    rule with no free parameter runs its guard once; any other runs the
+    plan's enumerator over the motif's members of each parameter's type
+    (`Motif.members_by_type`), which skips the subtrees whose leading
+    guard conjuncts are already False.  The full guard, from `rule.guard_fn()`, runs on each
     complete binding.
     """
     guard = rule.guard_fn()
     plan = rule._plan
-    binding = dict(fixed) if fixed else {}
+    binding = {} if fixed is None else fixed
     if binding.keys() != plan.fixed:
         raise ValueError(f"rule {rule.name!r} pre-binds {sorted(plan.fixed)}, "
                          f"not {sorted(binding)}")

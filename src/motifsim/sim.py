@@ -26,13 +26,18 @@ entered: at construction, and in the step that fires a successor, whose
 event's `post` is that hash.  So a random step without runtimes, on a
 state whose record is filled and by a move that has fired before, draws
 once, looks up one record and builds its event, and calls no function of
-the engine.  A new state costs its listing and one move per candidate,
-which shares the candidate's binding dict; only a `World` with runtimes
-or table controllers indexes the moves by label (`_fill`), so no other
-makes a candidate's label.  The draw is `random.Random.choice` written
-out over `getrandbits`, so a trace depends on the seed's Mersenne
-Twister stream alone.  Runtimes, `round_robin` and `script` take their
-moves from the same pools.  A `World` hands its records to its runtimes, which plan
+the engine.  The event dict is the one container such a step allocates:
+it shares its move's `binding`, and its `beliefs` is `NO_BELIEFS`, the
+one read-only empty dict of every event of a `World` without runtimes.
+A `World` with runtimes gives each event its own dict of the egos'
+belief digests.  A new state costs its listing and one move per
+candidate, which shares the candidate's binding dict; only a `World`
+with runtimes or table controllers indexes the moves by label
+(`_fill`), so no other makes a candidate's label.  The draw is
+`random.Random.choice` written out over `getrandbits`, bound once per
+`World`, so a trace depends on the seed's Mersenne Twister stream
+alone.  Runtimes, `round_robin` and `script` take their moves from the
+same pools.  A `World` hands its records to its runtimes, which plan
 through them and keep their plans' values in the records of the states
 the plans reach (`model.Record.plans`), so what the scheduler or a plan
 derived is not derived again while its record is kept, and a decision
@@ -109,6 +114,25 @@ def _model_hash(system):
 POLICIES = ("random", "round_robin", "script")
 
 
+class _ReadOnlyDict(dict):
+    """A dict that refuses every change: its mutators raise `TypeError`.
+    `json` writes it as it writes a dict."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    update = setdefault = pop = popitem = clear = _refuse
+
+
+#: The `beliefs` of every event of a `World` without runtimes: one empty
+#: dict shared by all of them, read-only so that no event's change shows
+#: in another's.  A trace writes it as `{}`.
+NO_BELIEFS = _ReadOnlyDict()
+
+
 #: A move is a candidate as the scheduler commits it, kept in the record
 #: of the state it was listed on: ``[candidate, motif, rule name, event
 #: binding, unc, successor, post]``, the last two None until it has fired
@@ -129,7 +153,10 @@ class World:
     is made and when a step enters a successor, and kept until the next
     one: the pools and the failing checks read that record.  A step that
     stutters or whose effect fails stays in its state, and in its
-    record."""
+    record.  The seeded stream is kept as its bound `getrandbits`, the
+    random draw's one call.  The events `advance` returns share what a
+    step need not build anew: a move's `binding` and, without runtimes,
+    `NO_BELIEFS`."""
 
     def __init__(self, system, seed=0, policy="random", controllers=None):
         if policy not in POLICIES:
@@ -143,7 +170,7 @@ class World:
         self.seed = seed
         self.policy = policy
         self.script = list(system.scenario.script if system.scenario else ())
-        self.rng = random.Random(f"run:{seed}")
+        self._getrandbits = random.Random(f"run:{seed}").getrandbits
         self.step_no = 0
         self.rr = 0
         # state hash -> model.Record, shared with the runtimes; `_hash` and
@@ -222,19 +249,22 @@ class World:
         makes.  A move's first draw fires it and hashes its successor; a
         later one reads both from the move.  The records are trimmed only
         when the step left more than `model.RECORDS`.  The runtimes are
-        stepped and told the event only when there are some.  An event
-        shares its candidate's `binding` dict with its move and the
-        move's other events: read it, do not change it."""
+        stepped and told the event only when there are some.  The event
+        dict is new on every call, but it shares its candidate's
+        `binding` dict with its move and the move's other events: read
+        it, do not change it.  Its `beliefs` maps each ego to the digest
+        of its believed model, a dict of its own; without runtimes it is
+        the shared, read-only `NO_BELIEFS`."""
         step = self.step_no
         rec = self._rec
         pool = rec.pool
         if pool is None:
             pool = self._fill(rec)
         records = self._records
-        beliefs = {}
+        beliefs = NO_BELIEFS
         chosen = ()
         if self.runtimes:
-            labels = []
+            beliefs, labels = {}, []
             for ego, rt in self.runtimes.items():  # declaration order
                 label = rt.step(self.cfg, step, self.seed)
                 beliefs[ego] = rt.model.digest()
@@ -249,11 +279,11 @@ class World:
         if policy == "random":
             n = len(pool)
             if n:
-                rng = self.rng
+                bits = self._getrandbits
                 k = n.bit_length()
-                r = rng.getrandbits(k)
+                r = bits(k)
                 while r >= n:
-                    r = rng.getrandbits(k)
+                    r = bits(k)
                 move = pool[r]
         elif policy == "round_robin":
             if pool:
@@ -368,7 +398,8 @@ def replay(system, trace_text):
     So does a header that is not a JSON object.  An event line that is
     not a JSON object with a `step`, a `post` and, unless it is a
     stutter, a `motif` and a `binding` diverges at its own step: the
-    `i`-th event line is step `i`.
+    `i`-th event line is step `i`, and so does one whose `step` is not
+    the int `i`.
     """
     lines = [ln for ln in trace_text.splitlines() if ln.strip()]
     if not lines:
@@ -395,6 +426,8 @@ def replay(system, trace_text):
                 motif, binding = e["motif"], e["binding"]
         except (ValueError, LookupError, TypeError) as exc:
             raise ReplayDivergence(f"malformed event at step {i}: {exc!r}", step=i) from exc
+        if type(step) is not int or step != i:
+            raise ReplayDivergence(f"event {i} records step {step!r}", step=i)
         if rule is not None:
             cand = None
             for c in step_candidates(cfg):

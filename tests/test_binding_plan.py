@@ -355,6 +355,29 @@ def test_fixed_names_must_be_the_plans():
         enabled_bindings(cfg, "lane", rules["pair"], fixed={"self": "c1"})
 
 
+def test_an_own_rule_without_free_parameters_keeps_the_fixed_dict(monkeypatch):
+    # `step_candidates` hands `enabled_bindings` one fresh `{"self": id}`
+    # per member's own rule, and a rule with no free parameter returns
+    # that dict as its candidate's binding, not a copy of it
+    given = []
+
+    def keep(cfg, mid, rule, fixed=None):
+        given.append(fixed)
+        return enabled_bindings(cfg, mid, rule, fixed)
+
+    monkeypatch.setattr("motifsim.rules.enabled_bindings", keep)
+    kept = 0
+    for sc in bundled():
+        given.clear()
+        for c in step_candidates(_system(sc.text).cfg):
+            if "self" in c.binding and not c.rule.plan().types:
+                assert any(c.binding is f for f in given), c.label
+                kept += 1
+        fixed = [f for f in given if f is not None]
+        assert len({id(f) for f in fixed}) == len(fixed)
+    assert kept
+
+
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_plans_are_built_with_the_model(monkeypatch, name):
     cfg = _system(MODELS[name]).cfg

@@ -4,10 +4,13 @@ Reference counting frees every configuration, context, binding and
 planner memo as soon as it is dropped, so a long run never waits on
 the cycle collector for its steps' garbage.  Each test builds its
 inputs, then runs one entry point with the collector off and asserts
-that a collection afterwards finds nothing to free.
+that a collection afterwards finds nothing to free.  A recorded step
+also allocates as few containers as it can, since each one counts
+towards the collector's next pass.
 """
 
 import gc
+import platform
 
 import pytest
 
@@ -114,3 +117,29 @@ def test_a_failing_guard_leaves_no_cycles():
         raise AssertionError("the guard evaluated")
 
     assert _cyclic_garbage(step) == 0
+
+
+@pytest.mark.skipif(platform.python_implementation() != "CPython",
+                    reason="reads CPython's count of container allocations")
+def test_a_recorded_step_allocates_one_container():
+    # once every state's record is filled and every move has fired, an
+    # agent-free step allocates only its event dict: its `beliefs` is
+    # the shared `sim.NO_BELIEFS`, and its `binding` is its move's
+    world = sim.World(_system(THERMOSTAT), seed=3)
+    for _ in range(5000):
+        world.advance()
+    events = [None] * 1000
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        for i in range(1000):
+            events[i] = world.advance()
+        grown = gc.get_count()[0] - before
+    finally:
+        if enabled:
+            gc.enable()
+    # the one more is the tuple the second `gc.get_count()` returns
+    assert grown <= len(events) + 1
+    assert all(e["beliefs"] is sim.NO_BELIEFS for e in events)

@@ -1,4 +1,5 @@
 import json
+import operator
 import random
 from collections import Counter
 
@@ -12,7 +13,7 @@ from motifsim.lang import parse
 from motifsim.rules import step_candidates
 from motifsim.scenarios import (
     PLATOON, SHUTTLE, SOCCER, THERMOSTAT, THERMOSTAT_DELIBERATIVE)
-from test_model import PLATOON_DELIBERATIVE
+from test_model import PLATOON_DELIBERATIVE, TWO_AGENTS
 
 
 def _system(text):
@@ -184,6 +185,18 @@ def test_a_malformed_event_line_diverges_at_its_step(line):
     assert exc.value.step == 2
 
 
+@pytest.mark.parametrize("step", [99, "x", 2.0],
+                         ids=["another-int", "a-string", "a-float"])
+def test_an_event_line_whose_step_is_not_its_index_diverges(step):
+    trace = sim.run(_system(SHUTTLE), steps=5)
+    e = json.loads(trace.text().splitlines()[3])
+    assert e["step"] == 2
+    forged = _with_line(trace, 3, json.dumps({**e, "step": step}))
+    with pytest.raises(ReplayDivergence, match="event 2 records step") as exc:
+        sim.replay(_system(SHUTTLE), forged)
+    assert exc.value.step == 2
+
+
 @pytest.mark.parametrize("header", ['["model", "hash"]', '{"model": ', "7"],
                          ids=["list", "truncated", "number"])
 def test_a_header_that_is_not_an_object_diverges_at_step_0(header):
@@ -198,6 +211,80 @@ def test_replay_header_only_returns_initial():
     trace = sim.run(system, steps=0)
     final = sim.replay(_system(SHUTTLE), trace.text())
     assert final.state_hash() == system.cfg.state_hash()
+
+
+# -- events and their beliefs ------------------------------------------------
+
+
+def _advanced(system, steps, seed=0, controllers=None):
+    """The events of a `World` driven through `advance` alone."""
+    world = sim.World(system, seed=seed, controllers=controllers)
+    events = []
+    for _ in range(steps):
+        e = world.advance()
+        if e is None:
+            break
+        events.append(e)
+    return events
+
+
+@pytest.mark.parametrize("steered", [False, True], ids=["free", "steered"])
+def test_an_agent_free_event_holds_the_shared_empty_beliefs(steered):
+    system = _system(THERMOSTAT)
+    controllers = _band_controller(system) if steered else None
+    trace = sim.run(system, steps=300, seed=1, controllers=controllers)
+    events = _advanced(system, 300, seed=1, controllers=controllers)
+    assert len(trace.events) == len(events) == 300
+    assert all(e["beliefs"] is sim.NO_BELIEFS
+               for e in (*trace.events, *events))
+    assert sim.NO_BELIEFS == {}
+    assert '"beliefs": {}' in trace.text()
+
+
+@pytest.mark.parametrize("change", [
+    pytest.param(lambda d: operator.setitem(d, "h1", "x"), id="setitem"),
+    pytest.param(lambda d: operator.delitem(d, "h1"), id="delitem"),
+    pytest.param(lambda d: d.update(h1="x"), id="update"),
+    pytest.param(lambda d: d.setdefault("h1", "x"), id="setdefault"),
+    pytest.param(lambda d: d.pop("h1", None), id="pop"),
+    pytest.param(lambda d: d.popitem(), id="popitem"),
+    pytest.param(lambda d: d.clear(), id="clear"),
+    pytest.param(lambda d: operator.ior(d, {"h1": "x"}), id="ior"),
+])
+def test_the_shared_beliefs_refuse_every_change(change):
+    with pytest.raises(TypeError, match="read-only"):
+        change(sim.NO_BELIEFS)
+    assert sim.NO_BELIEFS == {} and len(sim.NO_BELIEFS) == 0
+    assert json.dumps(sim.NO_BELIEFS) == "{}"
+
+
+@pytest.mark.parametrize("text", [THERMOSTAT_DELIBERATIVE, TWO_AGENTS],
+                         ids=["thermostat", "two-agents"])
+def test_a_deliberative_event_owns_its_beliefs(text):
+    world = sim.World(_system(text), seed=0)
+    seen = []
+    for _ in range(30):
+        e = world.advance()
+        if e is None:
+            break
+        assert e["beliefs"] == {ego: rt.model.digest()
+                                for ego, rt in world.runtimes.items()}
+        seen.append(e["beliefs"])
+    assert len(seen) > 1
+    assert all(type(b) is dict for b in seen)
+    assert len({id(b) for b in seen}) == len(seen)
+
+
+@pytest.mark.parametrize("text, controlled", [
+    (THERMOSTAT, False), (THERMOSTAT, True), (SHUTTLE, False),
+    (THERMOSTAT_DELIBERATIVE, False), (TWO_AGENTS, False),
+], ids=["thermostat", "thermostat-steered", "shuttle", "deliberative", "two-agents"])
+def test_run_and_a_loop_of_advance_give_equal_events(text, controlled):
+    for seed in range(2):
+        system = _system(text)
+        controllers = _band_controller(system) if controlled else None
+        trace = sim.run(system, steps=200, seed=seed, controllers=controllers)
+        assert trace.events == _advanced(system, 200, seed, controllers)
 
 
 # -- controller tables -------------------------------------------------------
