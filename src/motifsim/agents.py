@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import EgoUnplaced, NoSafePlan
 from .goals import AVOID, CRITICAL
-from .model import Configuration, ComponentInstance, RealRange, node_sort_key
+from .model import Configuration, ComponentInstance, Motif, RealRange, node_sort_key
 from .games import IDLE, plan_horizon
 
 DEFAULT_THRESHOLDS = {
@@ -198,9 +198,7 @@ class EnvModel:
     def blank(cls, truth, motif):
         """An initial believed model: the design-time motif structure
         with no tracked components.  Its motifs are the declared ones."""
-        motifs = [m.copy() for m in truth.motifs.values()]
-        for m in motifs:
-            m.members = frozenset()
+        motifs = [Motif(m.id, m.map, rules=m.rules) for m in truth.motifs.values()]
         return cls(Configuration((), motifs, truth.types), motif)
 
 
@@ -217,8 +215,10 @@ def reflect(model, percept, patterns=(), k_stale=5):
     dropped.  The motif `patterns`, names in `PATTERNS`, then rebuild
     believed motifs over the updated model.
 
-    The revision is copy-on-write.  The sensed motif is copied only when
-    its members or map change, a tracked component only when some
+    The revision is copy-on-write, through the belief's edit methods
+    (`Configuration.set_var`, `add_component`, `remove_component`,
+    `join`, `leave`, `place` and `set_map`).  The sensed motif is copied
+    only when its members or map change, a tracked component only when a
     detected value differs from the belief's, in value or in class, and
     an address entry is set only when it moves.  So a percept that
     changes nothing gives a belief sharing every component and motif,
@@ -226,48 +226,35 @@ def reflect(model, percept, patterns=(), k_stale=5):
     """
     cfg = model.cfg.clone()
     mid = model.motif
-    m = cfg.motif(mid)
     stale = dict(model.staleness)
     hypo = model.hypo
     seen = set()
 
-    def edit():
-        """The sensed motif, copied on its first edit."""
-        nonlocal m
-        if m is model.cfg.motifs[mid]:
-            m = cfg._touch_motif(mid)
-        return m
-
     def drop(cid):
-        edit().members -= {cid}
-        cfg._unplace(cid, mid)
+        cfg.leave(cid, mid)
         if not any(cid in mm.members for mm in cfg.motifs.values()):
-            del cfg.components[cid]
+            cfg.remove_component(cid)
         stale.pop(cid, None)
-        cfg._dirty()
 
-    if m.map is not percept.map:
-        edit().map = percept.map
-        for cid in sorted(m.members):
-            if cfg.address(cid, mid) not in m.map.nodes:
+    if cfg.motif(mid).map is not percept.map:
+        for cid in sorted(cfg.motif(mid).members):
+            if cfg.address(cid, mid) not in percept.map.nodes:
                 drop(cid)
+        cfg.set_map(mid, percept.map)
 
     def upsert(cid, det):
         comp = cfg.components.get(cid)
         if comp is None:
-            cfg.components[cid] = ComponentInstance(
-                cid, cfg.types[det.type], det.state)
-            cfg._dirty()
+            cfg.add_component(ComponentInstance(cid, cfg.types[det.type], det.state))
         else:
             # `1` and `Fraction(1)` are equal, but their texts differ
-            old = comp.state
-            if any(type(old.get(k)) is not type(v) or old[k] != v
-                   for k, v in det.state.items()):
-                cfg._touch_component(cid).state.update(det.state)
-        if cid not in m.members:
-            edit().members |= {cid}
-        if cfg.addresses.get((cid, mid)) != det.node:
-            cfg._place(cid, mid, det.node)
+            for k, v in det.state.items():
+                if type(comp.state[k]) is not type(v) or comp.state[k] != v:
+                    cfg.set_var(cid, k, v)
+        if cid not in cfg.motif(mid).members:
+            cfg.join(cid, mid)
+        if cfg.address(cid, mid) != det.node:
+            cfg.place(cid, mid, det.node)
         stale[cid] = 0
         seen.add(cid)
 
@@ -280,11 +267,11 @@ def reflect(model, percept, patterns=(), k_stale=5):
 
     for det in anonymous:
         best = None
-        for cid in sorted(m.members):  # each placed by `upsert`
+        for cid in sorted(cfg.motif(mid).members):  # each placed by `upsert`
             if cid in seen or cfg.components[cid].type.name != det.type:
                 continue
             at = cfg.address(cid, mid)
-            d = 0 if at == det.node else m.map.hop_distance(at, det.node)
+            d = 0 if at == det.node else percept.map.hop_distance(at, det.node)
             if d <= 1 and (best is None or d < best[0]):
                 best = (d, cid)
         if best is not None:
@@ -294,7 +281,7 @@ def reflect(model, percept, patterns=(), k_stale=5):
             hypo += 1
             upsert(cid, det)
 
-    for cid in sorted(m.members):
+    for cid in sorted(cfg.motif(mid).members):
         if cid in seen:
             continue
         at = cfg.address(cid, mid)
@@ -356,10 +343,7 @@ def _chain_pattern(model):
     changed = False
     for pid in [p for p in out.motifs if p.startswith("platoon_")]:
         if pid not in wanted and pid not in declared:
-            for cid in list(out.motifs[pid].members):
-                out._unplace(cid, pid)
-            del out.motifs[pid]
-            out._dirty()
+            out.drop_motif(pid)
             changed = True
     for pid, chain in wanted.items():
         members = frozenset(cid for _, cid in chain)
@@ -367,17 +351,9 @@ def _chain_pattern(model):
         if old is not None and old.members == members and all(
                 out.address(cid, pid) == at for at, cid in chain):
             continue
-        if old is not None:
-            for cid in old.members:
-                out._unplace(cid, pid)
-        pm = m.copy()
-        pm.id = pid
-        pm.members = members
-        pm.rules = []
-        out.motifs[pid] = pm
+        out.put_motif(Motif(pid, m.map, members))
         for at, cid in chain:
-            out._place(cid, pid, at)
-        out._dirty()
+            out.place(cid, pid, at)
         changed = True
     if not changed:
         return model

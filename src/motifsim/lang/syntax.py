@@ -321,8 +321,9 @@ class CompDef:
         return s + ";"
 
     def build(self, cfg):
-        """Add this component to `cfg`, with its members and addresses;
-        its type and motifs are checked before its values."""
+        """Add this component to `cfg`, with its memberships and addresses
+        (`Configuration.add_component`, `join` and `place`); its type and
+        motifs are checked before its values."""
         scope = Scope((), cfg)
         scope.type(self.type)
         for motif, _ in self.placements:
@@ -332,15 +333,13 @@ class CompDef:
             if var in state:
                 raise ValueError(f"duplicate init {var!r}")
             state[var] = value
-        cfg.components[self.id] = ComponentInstance(
-            self.id, cfg.types[self.type], state)
+        cfg.add_component(ComponentInstance(self.id, cfg.types[self.type], state))
         for motif, node in self.placements:
-            m = cfg._touch_motif(motif)
-            if self.id in m.members:
+            if self.id in cfg.motif(motif).members:
                 raise ValueError(f"placed twice in {motif!r}")
-            m.members |= {self.id}
+            cfg.join(self.id, motif)
             if node is not None:
-                cfg._place(self.id, motif, node)
+                cfg.place(self.id, motif, node)
 
 
 class GoalDef:

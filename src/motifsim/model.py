@@ -1,19 +1,18 @@
 """Static and dynamic structure of a system.
 
 Component types, component instances, maps, partial address functions,
-motifs and configurations.  Configurations have value semantics: the only
-way to change one is a rule's effects (`rules.apply`), which run on a
-private clone and return it, leaving the argument untouched.  The
-mutating helpers (prefixed ``_``) are reserved for those effects and for
-the agents' belief revision, which likewise work on clones and copy a
-component or motif only when they change it.
+motifs and configurations.  Configurations have value semantics: a
+`Configuration`'s edit methods are the only way to change one (`fresh_id`,
+`set_var`, `add_component`, `remove_component`, `join`, `leave`, `place`,
+`set_map`, `put_motif` and `drop_motif`), and their callers, a rule's
+effects (`rules.apply`), the agents' belief revision and model building,
+run them on a configuration of their own: `apply` on a private clone,
+which it returns, leaving the argument untouched.
 
-Clones share their unchanged components, motifs and maps.  Motif
-members (a frozenset) and maps (`Map`) are values: an edit makes a new
-one and puts it on the configuration's private copy of the motif
-(`Configuration._touch_motif`).  Only a component's state is changed in
-place, on the private copy `Configuration._touch_component` takes first.
-Each `Map`, `ComponentInstance` and `Motif` caches its canonical tuple on
+Clones share their unchanged components, motifs and maps.  No edit
+changes a component or motif in place: it puts a ``copy()`` with the
+change in the configuration's own dict.  Motif members (a frozenset) and
+maps (`Map`) are values, so a changed motif gets new ones.  Each `Map`, `ComponentInstance` and `Motif` caches its canonical tuple on
 first use, a `Map` that tuple's ``repr``, and a component or motif the
 64-bit digest of its ``repr`` (`_digest`); ``copy()`` resets the cache.
 A map also keeps its undirected adjacency and its distances from each
@@ -40,6 +39,7 @@ from itertools import islice
 
 from .errors import (
     DomainError,
+    EffectError,
     NotAMember,
     UnknownComponent,
     UnknownEdge,
@@ -447,8 +447,9 @@ class Motif:
     """A world bundling a map, member components and coordination rules.
 
     `members` is a frozenset and `map` a `Map`: both are values, so an
-    edit puts a new one on a private copy (`Configuration._touch_motif`),
-    for example ``cfg._touch_motif(mid).members |= {cid}``.  `rules` holds
+    edit puts a copy with a new one in the configuration's place
+    (`Configuration.join`, `leave`, `remove_component` and `set_map`), as
+    ``cfg.join(cid, mid)`` does.  `rules` holds
     the interaction rules, then the configuration rules, each in
     declaration order; a rule's `kind` says which it is."""
 
@@ -512,24 +513,13 @@ class Configuration:
 
     def __init__(self, components=(), motifs=(), types=None):
         self.components = {c.id: c for c in components}
-        self.motifs = {m.id: m for m in motifs}
+        self.motifs = {}
         self.addresses = {}
         self.types = dict(types or {})
         self.counters = {}
         self._hash = None
-        self.check()
-
-    # -- invariants ---------------------------------------------------------
-
-    def check(self):
-        """Reject a motif member that is no component: input validation.
-        Every edit keeps a configuration well-formed (`rules.apply`)."""
-        for m in self.motifs.values():
-            for cid in m.members:
-                if cid not in self.components:
-                    raise UnknownComponent(
-                        f"motif {m.id!r} references missing component {cid!r}"
-                    )
+        for m in motifs:
+            self.put_motif(m)
 
     # -- cloning ------------------------------------------------------------
 
@@ -568,41 +558,115 @@ class Configuration:
             raise UnknownNode(f"no node {n!r} in motif {mid!r}")
         return {cid for cid in m.members if self.addresses.get((cid, mid)) == n}
 
+    # -- edits --------------------------------------------------------------
+    #
+    # The only ways to change a configuration.  Rule effects, belief
+    # revision and model building call them on a configuration no one else
+    # holds (`apply`'s clone).  Each edit checks what it needs, keeps the
+    # configuration well-formed (every member is a component; every address
+    # belongs to a member and lies on its motif's map) and resets the cached
+    # hash.  It puts a new component or motif in place of the one it
+    # changes, which other clones may share: none is changed in place.
+
     def fresh_id(self, type_name):
+        """A new id for a component of type `type_name`, counted in the
+        type's counter, which is part of the state."""
         k = self.counters.get(type_name, 0)
         self.counters[type_name] = k + 1
+        self._hash = None
         return f"{type_name}#{k}"
 
-    # -- mutating helpers (rule engine only, on clones) ---------------------
-
-    def _touch_component(self, cid):
+    def set_var(self, cid, var, value):
+        """Set var `var` of component `cid` to `value` as given: an effect
+        gives the value its var's domain makes of what it computed
+        (`canon`), belief revision the one a sensor reported."""
         c = self.component(cid).copy()
+        c.state[var] = value
         self.components[cid] = c
         self._hash = None
-        return c
 
-    def _touch_motif(self, mid):
-        """A private copy of motif `mid`, put in its place.  Its members
-        and map are shared values: a caller gives it new ones."""
-        m = self.motif(mid).copy()
-        self.motifs[mid] = m
+    def add_component(self, comp):
+        """Add the component `comp`, a member of no motif; its id is new."""
+        if comp.id in self.components:
+            raise ValueError(f"component {comp.id!r} already exists")
+        self.components[comp.id] = comp
         self._hash = None
-        return m
 
-    def _place(self, cid, mid, n):
+    def remove_component(self, cid):
+        """Remove component `cid`, with its memberships and addresses."""
+        if cid not in self.components:
+            raise UnknownComponent(f"delete of nonexistent component {cid!r}")
+        del self.components[cid]
+        for m in list(self.motifs.values()):
+            if cid in m.members:
+                self.leave(cid, m.id)
+        self._hash = None
+
+    def join(self, cid, mid):
+        """Make component `cid` a member of motif `mid`."""
+        self._known(cid, mid)
         m = self.motif(mid)
-        if cid not in m.members:
-            raise NotAMember(f"{cid!r} is not a member of {mid!r}")
+        self._put(m, m.members | {cid}, m.map)
+
+    def leave(self, cid, mid):
+        """Drop member `cid` of motif `mid`, with its address there."""
+        m = self._member(cid, mid)
+        self._put(m, m.members - {cid}, m.map)
+        self.addresses.pop((cid, mid), None)
+
+    def place(self, cid, mid, n):
+        """Address member `cid` of motif `mid` at node `n` of its map."""
+        m = self._member(cid, mid)
         if n not in m.map.nodes:
             raise UnknownNode(f"no node {n!r} in motif {mid!r}")
         self.addresses[(cid, mid)] = n
         self._hash = None
 
-    def _unplace(self, cid, mid):
-        self.addresses.pop((cid, mid), None)
+    def set_map(self, mid, map):
+        """Give motif `mid` the map `map`, which keeps every node of the
+        old one that a member is addressed at."""
+        m = self.motif(mid)
+        for n in m.map.nodes - map.nodes:
+            occ = self.occupied(mid, n)
+            if occ:
+                raise EffectError(f"node {n!r} of {mid!r} is occupied by {sorted(occ)}")
+        self._put(m, m.members, map)
+
+    def put_motif(self, motif):
+        """Put the motif `motif`, its members unaddressed, in place of any
+        motif of its id; each member must be a component."""
+        for cid in motif.members:
+            self._known(cid, motif.id)
+        if motif.id in self.motifs:
+            self.drop_motif(motif.id)
+        self.motifs[motif.id] = motif
         self._hash = None
 
-    def _dirty(self):
+    def drop_motif(self, mid):
+        """Remove motif `mid`, with its members' addresses there."""
+        for cid in self.motif(mid).members:
+            self.addresses.pop((cid, mid), None)
+        del self.motifs[mid]
+        self._hash = None
+
+    def _known(self, cid, mid):
+        """Reject `cid`, a member of motif `mid`, unless it is a component."""
+        if cid not in self.components:
+            raise UnknownComponent(f"motif {mid!r} references missing component {cid!r}")
+
+    def _member(self, cid, mid):
+        """Motif `mid`, which must have `cid` as a member."""
+        m = self.motif(mid)
+        if cid not in m.members:
+            raise NotAMember(f"{cid!r} is not a member of {mid!r}")
+        return m
+
+    def _put(self, m, members, map):
+        """Put a copy of motif `m` with `members` and `map` in its place."""
+        m = m.copy()
+        m.members = members
+        m.map = map
+        self.motifs[m.id] = m
         self._hash = None
 
     # -- canonical form -----------------------------------------------------

@@ -6,9 +6,11 @@ global candidate list.  A `Candidate`
 is one enabled rule instance on the configuration it was listed on, and
 `Candidate.fire()` is the one successor operation that the scheduler,
 replay, the game grounder and the planner share.  The command effects
-below are the only implementation of each configuration edit
-(assignment, exchange, move, create, delete, join, leave, migrate and
-map edits); `apply` runs them on a private clone.
+below (assignment, exchange, move, create, delete, join, leave, migrate
+and map edits) change a configuration only through its edit methods
+(`Configuration.set_var`, `place`, `fresh_id`, `add_component`,
+`remove_component`, `join`, `leave` and `set_map`), which make every
+check of an edit; `apply` runs them on a private clone.
 """
 
 from functools import reduce
@@ -68,8 +70,8 @@ class Assign(Effect):
             else:
                 cid = name
             v = fv(ctx)
-            comp = ctx.cfg._touch_component(cid)
-            comp.state[attr] = comp.type.vars[attr].domain.canon(v)
+            cfg = ctx.cfg
+            cfg.set_var(cid, attr, cfg.component(cid).type.vars[attr].domain.canon(v))
         return run
 
 
@@ -92,11 +94,11 @@ class Exchange(Effect):
         scope.store(scope.domain(self.o2, a2), v2.unparse(), v1)
 
         def run(ctx):
-            c1 = ctx.cfg._touch_component(g1(ctx))
-            c2 = ctx.cfg._touch_component(g2(ctx))
+            cfg = ctx.cfg
+            c1, c2 = cfg.component(g1(ctx)), cfg.component(g2(ctx))
             v1, v2 = c1.state[a1], c2.state[a2]
-            c1.state[a1] = c1.type.vars[a1].domain.canon(v2)
-            c2.state[a2] = c2.type.vars[a2].domain.canon(v1)
+            cfg.set_var(c1.id, a1, c1.type.vars[a1].domain.canon(v2))
+            cfg.set_var(c2.id, a2, c2.type.vars[a2].domain.canon(v1))
         return run
 
 
@@ -128,7 +130,7 @@ class Move(Effect):
             n = fn(ctx)
             if n is UNDEF:
                 raise EffectError("move target is an undefined address")
-            ctx.cfg._place(cid, ctx.motif.id, n)
+            ctx.cfg.place(cid, ctx.motif.id, n)
         return run
 
 
@@ -164,20 +166,18 @@ class Create(Effect):
         scope.bind(name, type_name)
 
         def run(ctx):
-            ctype = ctx.cfg.types[type_name]
+            cfg = ctx.cfg
             init = {v: f(ctx) for v, f in finits}
             mid = motif if motif is not None else ctx.motif.id
-            cid = ctx.cfg.fresh_id(type_name)
-            comp = ComponentInstance(cid, ctype, init)
-            ctx.cfg.components[cid] = comp
-            ctx.cfg._touch_motif(mid).members |= {cid}
+            cid = cfg.fresh_id(type_name)
+            cfg.add_component(ComponentInstance(cid, cfg.types[type_name], init))
+            cfg.join(cid, mid)
             if fn is not None:
                 node = fn(ctx)
                 if node is UNDEF:
                     raise EffectError("create at an undefined address")
-                ctx.cfg._place(cid, mid, node)
+                cfg.place(cid, mid, node)
             ctx.binding[name] = cid
-            ctx.cfg._dirty()
         return run
 
 
@@ -194,16 +194,7 @@ class Delete(Effect):
         get = scope.owner(self.owner, write=True)
 
         def run(ctx):
-            cid = get(ctx)
-            if cid not in ctx.cfg.components:
-                raise EffectError(f"delete of nonexistent component {cid!r}")
-            del ctx.cfg.components[cid]
-            for mid, m in list(ctx.cfg.motifs.items()):
-                if cid in m.members:
-                    ctx.cfg._touch_motif(mid).members -= {cid}
-            for key in [k for k in ctx.cfg.addresses if k[0] == cid]:
-                del ctx.cfg.addresses[key]
-            ctx.cfg._dirty()
+            ctx.cfg.remove_component(get(ctx))
         return run
 
 
@@ -222,10 +213,7 @@ class Join(Effect):
         motif = scope.motif(self.motif)
 
         def run(ctx):
-            cid = get(ctx)
-            if cid not in ctx.cfg.components:
-                raise EffectError(f"motif {motif!r} references missing component {cid!r}")
-            ctx.cfg._touch_motif(motif).members |= {cid}
+            ctx.cfg.join(get(ctx), motif)
         return run
 
 
@@ -244,17 +232,15 @@ class Leave(Effect):
         motif = scope.motif(self.motif)
 
         def run(ctx):
-            cid = get(ctx)
-            if cid not in ctx.cfg.motif(motif).members:
-                raise EffectError(f"{cid!r} is not a member of {motif!r}")
-            ctx.cfg._touch_motif(motif).members -= {cid}
-            ctx.cfg._unplace(cid, motif)
+            ctx.cfg.leave(get(ctx), motif)
         return run
 
 
 class MigrateEffect(Effect):
-    """migrate(p, src, dst[, node]): p's state is kept, its address in
-    `src` is dropped, and its address in `dst` is set iff `node` is given."""
+    """migrate(p, src, dst[, node]): p's state is kept, it leaves `src`,
+    with its address there, and joins `dst`, where `node` is its address
+    if given.  A migrate within one motif keeps the address it had unless
+    given a node."""
 
     __slots__ = ("owner", "src", "dst", "node")
 
@@ -283,15 +269,12 @@ class MigrateEffect(Effect):
                 if node is UNDEF:
                     raise EffectError("migrate to an undefined address")
             cfg = ctx.cfg
-            source, _ = cfg.motif(src), cfg.motif(dst)  # both must exist
-            if cid not in source.members:
-                raise EffectError(f"{cid!r} is not a member of {src!r}")
-            if src != dst:
-                cfg._touch_motif(src).members -= {cid}
-                cfg._unplace(cid, src)
-                cfg._touch_motif(dst).members |= {cid}
+            if node is None and src == dst:
+                node = cfg.address(cid, src)
+            cfg.leave(cid, src)
+            cfg.join(cid, dst)
             if node is not None:
-                cfg._place(cid, dst, node)
+                cfg.place(cid, dst, node)
         return run
 
 
@@ -316,24 +299,22 @@ class MapEdit(Effect):
             vals = [f(ctx) for f in fargs]
             if any(v is UNDEF for v in vals):
                 raise EffectError(f"{op} on an undefined address")
-            mid = ctx.motif.id
-            m = ctx.cfg._touch_motif(mid)
+            cfg, mid = ctx.cfg, ctx.motif.id
+            old = cfg.motif(mid).map
             if op == "addnode":
-                m.map = m.map.add_node(vals[0])
+                new = old.add_node(vals[0])
             elif op == "removenode":
-                occ = ctx.cfg.occupied(mid, vals[0])
-                if occ:
-                    raise EffectError(
-                        f"node {vals[0]!r} of {mid!r} is occupied by {sorted(occ)}")
-                m.map = m.map.remove_node(vals[0])
+                cfg.occupied(mid, vals[0])  # raises on a node the map lacks
+                new = old.remove_node(vals[0])
             elif op == "addedge":
                 w = vals[2] if len(vals) > 2 else 1
                 try:
-                    m.map = m.map.add_edge(vals[0], vals[1], w)
+                    new = old.add_edge(vals[0], vals[1], w)
                 except ValueError as exc:  # a negative weight
                     raise EffectError(str(exc)) from exc
             else:
-                m.map = m.map.remove_edge(vals[0], vals[1])
+                new = old.remove_edge(vals[0], vals[1])
+            cfg.set_map(mid, new)
         return run
 
 
@@ -572,13 +553,15 @@ def apply(cfg, motif_id, rule, binding):
     missing node, member or component.  No effect fails on a type, or on
     a type, var or motif that is not declared: `Rule.compile` typed every
     value it writes and every node it places, an int or a str, and
-    checked every name it uses.  The result is not checked again: each effect keeps the
-    configuration well-formed (every member exists; every address
-    belongs to a member and lies on its motif's map).  `_place` admits
-    only members and map nodes, `leave`, `migrate` and `delete` drop an
-    address with its membership, `join` admits only an existing
-    component, `removenode` refuses an occupied node, `create` adds a
-    fresh id, and no effect deletes a motif.
+    checked every name it uses.  The result is not checked again: the
+    effects edit it only through `Configuration`'s edit methods, each of
+    which keeps it well-formed (every member exists; every address
+    belongs to a member and lies on its motif's map).  `place` admits
+    only members and map nodes, `leave` (which `migrate` and
+    `remove_component` use) drops an address with its membership, `join`
+    admits only an existing component, `set_map` refuses to drop an
+    occupied node, `create` adds a fresh id (`fresh_id`), and no effect
+    deletes a motif.
 
     The effects read `binding` itself, unless the rule has a `create`
     effect, which binds its name in a copy: a caller's binding is never

@@ -1,12 +1,11 @@
 """Bundled scenario models.
 
-Each scenario is a complete model text plus the seed sweep its checks
-are meant to hold over.  The texts are canonical (printing the parsed
-model reproduces them byte for byte), which the round-trip tests rely
-on.
+Each scenario is a complete model text, which `lang.load` builds.
+`BUNDLED` maps the four scenarios' names to their texts;
+`THERMOSTAT_DELIBERATIVE` is the thermostat with its heater run by the
+agent loop.  The texts are canonical (printing the parsed model
+reproduces them byte for byte), which the round-trip tests rely on.
 """
-
-from .lang import load
 
 THERMOSTAT = """\
 type heater agent {
@@ -165,41 +164,5 @@ scenario {
 """
 
 
-class Scenario:
-    """A named bundled model."""
-
-    def __init__(self, name, text):
-        self.name = name
-        self.text = text
-
-    def parse(self):
-        return self.build().model
-
-    def build(self):
-        """A System parsed afresh from the scenario's text."""
-        system, diags = load(self.text)
-        if system is None:
-            raise ValueError(f"bundled scenario {self.name!r} does not parse: "
-                             + "; ".join(str(d) for d in diags))
-        return system
-
-
-def scenario_thermostat():
-    return Scenario("thermostat", THERMOSTAT)
-
-
-def scenario_platoon():
-    return Scenario("platoon", PLATOON)
-
-
-def scenario_soccer():
-    return Scenario("soccer", SOCCER)
-
-
-def scenario_shuttle():
-    return Scenario("shuttle", SHUTTLE)
-
-
-def bundled():
-    return [scenario_thermostat(), scenario_platoon(), scenario_soccer(),
-            scenario_shuttle()]
+BUNDLED = {"thermostat": THERMOSTAT, "platoon": PLATOON, "soccer": SOCCER,
+           "shuttle": SHUTTLE}

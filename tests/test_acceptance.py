@@ -17,7 +17,7 @@ from motifsim.lang import parse, print_model
 from motifsim.rules import apply, enabled_bindings, step_candidates
 from motifsim.agents import EnvModel, SensorSpec, perceive, reflect
 from motifsim.scenarios import (
-    PLATOON, SHUTTLE, SOCCER, THERMOSTAT, THERMOSTAT_DELIBERATIVE, bundled,
+    BUNDLED, PLATOON, SHUTTLE, SOCCER, THERMOSTAT, THERMOSTAT_DELIBERATIVE,
 )
 
 from game_oracle import oracle_reach, oracle_safety, random_game
@@ -313,7 +313,7 @@ def test_criterion_09_reflection_fidelity():
 
 
 def test_criterion_10_reproducibility():
-    corpus = [sc.text for sc in bundled()] + [THERMOSTAT_DELIBERATIVE]
+    corpus = [*BUNDLED.values(), THERMOSTAT_DELIBERATIVE]
     for text in corpus:
         parsed, diags = parse(text)
         assert parsed is not None, diags

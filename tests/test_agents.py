@@ -89,7 +89,8 @@ def test_detect_zero_sees_nothing():
 def test_unplaced_ego_raises():
     cfg = _system(PLATOON).cfg
     cfg2 = cfg.clone()
-    cfg2._unplace("v1", "road")
+    cfg2.leave("v1", "road")
+    cfg2.join("v1", "road")  # a member with no address
     with pytest.raises(EgoUnplaced):
         perceive(cfg2, "v1", _road_spec())
 
@@ -108,7 +109,7 @@ def test_visible_nodes_match_per_node_hop_distance(make):
     for here in sorted(m.nodes):
         cfg = Configuration([ComponentInstance("p", t)],
                             [Motif("area", m, members={"p"})], {"probe": t})
-        cfg._place("p", "area", here)
+        cfg.place("p", "area", here)
         for radius in range(5):
             got = perceive(cfg, "p", SensorSpec("area", radius=radius)).visible_nodes
             assert got == {n for n in m.nodes
@@ -190,7 +191,7 @@ def test_reflect_copies_only_what_its_percept_changed():
 
     # v2 slowed: only v2 is copied
     slowed = cfg.clone()
-    slowed._touch_component("v2").state["speed"] = 0
+    slowed.set_var("v2", "speed", 0)
     belief = reflect(model, perceive(slowed, "v1", spec)).cfg
     assert _kept(belief, old) == ({"v1"}, {"road", "platoon"})
     assert belief.components["v2"].state["speed"] == 0
@@ -202,11 +203,10 @@ def test_reflect_copies_only_what_its_percept_changed():
 
     # the truth's map changed: so is the sensed motif's
     grown = cfg.clone()
-    road = grown._touch_motif("road")
-    road.map = road.map.add_node(99)
+    grown.set_map("road", grown.motif("road").map.add_node(99))
     belief = reflect(model, perceive(grown, "v1", spec)).cfg
     assert _kept(belief, old) == ({"v1", "v2"}, {"platoon"})
-    assert belief.motif("road").map is road.map
+    assert belief.motif("road").map is grown.motif("road").map
 
 
 def test_reflect_tells_equal_values_of_another_class_apart():
@@ -425,7 +425,7 @@ def test_platoon_chain_pattern():
 def test_platoon_chain_pattern_splits_on_gap():
     system = _system(PLATOON)
     cfg = system.cfg.clone()
-    cfg._place("v1", "road", 20)  # far from the others
+    cfg.place("v1", "road", 20)  # far from the others
     spec = _road_spec()
     model = reflect(EnvModel.blank(cfg, "road"), perceive(cfg, "v1", spec),
                     ["platoon_chain"])
@@ -440,7 +440,7 @@ def test_platoon_chain_pattern_unplaces_members_that_left():
     patterns = ["platoon_chain"]
     model = reflect(EnvModel.blank(cfg, "road"), perceive(cfg, "v2", spec), patterns)
     assert model.cfg.motif("platoon_v4").members == {"v1", "v2", "v3", "v4"}
-    cfg._place("v1", "road", 20)  # v1 drives away from the chain
+    cfg.place("v1", "road", 20)  # v1 drives away from the chain
     model = reflect(model, perceive(cfg, "v2", spec), patterns)
     pm = model.cfg.motif("platoon_v4")
     assert pm.members == {"v2", "v3", "v4"}
@@ -540,7 +540,7 @@ def test_adapt_quiescent():
 def test_adapt_detects_violation_and_recovers():
     system = _system(THERMOSTAT)
     cfg = system.cfg.clone()
-    cfg._touch_component("room").state["temp"] = Fraction(17)
+    cfg.set_var("room", "temp", Fraction(17))
     repo = KnowledgeRepository()
     assert adapt(repo, EnvModel(cfg, "house"), [], [system.goals["band"]], 3,
                  DEFAULT_THRESHOLDS, step=9) == (3, True)
@@ -618,7 +618,7 @@ def test_decide_plays_a_library_controller():
 def test_decide_falls_back_to_planning_on_state_miss():
     system = _system(THERMOSTAT)
     cfg = system.cfg.clone()
-    cfg._touch_component("room").state["temp"] = Fraction(18)
+    cfg.set_var("room", "temp", Fraction(18))
     ctrl = Controller({"deadbeef:a"}, {"deadbeef:a": ("nope",)})
     lab = decide(cfg, [system.goals["band"]], (frozenset({"band"}), ctrl), "h1", 2)
     assert lab is not None and "nope" not in lab

@@ -12,7 +12,7 @@ from motifsim.expr import Binary, Ctx, Scope
 from motifsim.lang import load
 from motifsim.model import AGENT
 from motifsim.rules import CONFIG, Rule, apply, enabled_bindings, step_candidates
-from motifsim.scenarios import THERMOSTAT_DELIBERATIVE, bundled
+from motifsim.scenarios import BUNDLED, THERMOSTAT_DELIBERATIVE
 from test_model import PLATOON_DELIBERATIVE
 
 # One rule per case the plan must get right; `c5` is placed nowhere, so
@@ -87,7 +87,7 @@ component k2: bike { gear = 0; } in fast at 3;
 component k3: bike { gear = 1; } in fast;
 """
 
-MODELS = {sc.name: sc.text for sc in bundled()}
+MODELS = dict(BUNDLED)
 MODELS.update(thermostat_deliberative=THERMOSTAT_DELIBERATIVE,
               platoon_deliberative=PLATOON_DELIBERATIVE, synthetic=SYNTHETIC)
 
@@ -305,7 +305,7 @@ def test_a_transitions_mode_test_leads_its_guards_chain():
     assert test(Ctx(cfg, lane, {"self": "c1", "a": "c3"})) is True
     assert test(Ctx(cfg, lane, {"self": "c1", "a": "c2"})) is False
     eager = cfg.clone()
-    eager._touch_component("c1").state["mode"] = "eager"
+    eager.set_var("c1", "mode", "eager")
     assert test(Ctx(eager, lane, {"self": "c1", "a": "c3"})) is False
     assert enabled_bindings(eager, "lane", rule, {"self": "c1"}) == []
     assert rule.guard.unparse() == (
@@ -324,7 +324,7 @@ def test_a_first_test_prunes_only_when_false(bike, first, error):
     (_, _, test), _ = shift.plan().required
     # the level-0 test, with `a` bound to a car faster than 4
     faster = cfg.clone()
-    faster._touch_component("c1").state["speed"] = 5
+    faster.set_var("c1", "speed", 5)
     assert test(Ctx(faster, faster.motif("fast"), {**fixed, "a": "c1"})) is first
     # `c1` alone is in `fast`: no complete binding, so nothing raises
     assert enabled_bindings(cfg, "fast", shift, fixed) == []
@@ -368,9 +368,9 @@ def test_an_own_rule_without_free_parameters_keeps_the_fixed_dict(monkeypatch):
 
     monkeypatch.setattr("motifsim.rules.enabled_bindings", keep)
     kept = 0
-    for sc in bundled():
+    for text in BUNDLED.values():
         given.clear()
-        for c in step_candidates(_system(sc.text).cfg):
+        for c in step_candidates(_system(text).cfg):
             if "self" in c.binding and not c.rule.plan().types:
                 assert any(c.binding is f for f in given), c.label
                 kept += 1

@@ -17,7 +17,7 @@ from motifsim.games import (
 )
 from motifsim.goals import AVOID, CRITICAL, REACH, UTILITY, Goal
 from motifsim.lang import parse
-from motifsim.scenarios import THERMOSTAT, THERMOSTAT_DELIBERATIVE, bundled
+from motifsim.scenarios import BUNDLED, THERMOSTAT, THERMOSTAT_DELIBERATIVE
 
 from game_oracle import (
     oracle_reach, oracle_safety, random_game, reference_reach, reference_safety,
@@ -393,7 +393,7 @@ def test_controller_command():
 # needs no full game.  Shuttle is left out because it has no agent to take
 # the ego's turn.
 
-EDGE_MODELS = {sc.name: sc.text for sc in bundled()}
+EDGE_MODELS = dict(BUNDLED)
 EDGE_MODELS.update(thermostat_deliberative=THERMOSTAT_DELIBERATIVE,
                    platoon_deliberative=PLATOON_DELIBERATIVE)
 
@@ -433,7 +433,7 @@ def test_committed_transitions_are_game_edges(name, ego):
 def test_plan_thermostat_at_tmin_turns_on():
     system = _thermostat_system()
     cfg = system.cfg.clone()
-    cfg._touch_component("room").state["temp"] = Fraction(18)
+    cfg.set_var("room", "temp", Fraction(18))
     goals = [system.goals["band"]]
     plan = plan_horizon(cfg, "h1", goals, 2)
     assert plan.first_action is not None
@@ -451,7 +451,7 @@ RENDERED_PLANS = (
 
 def test_rendered_plans_are_pinned():
     digest = hashlib.sha256()
-    for text in [s.text for s in bundled()] + [THERMOSTAT_DELIBERATIVE]:
+    for text in [*BUNDLED.values(), THERMOSTAT_DELIBERATIVE]:
         system, diags = load(text)
         assert system is not None, diags
         goals = sorted(system.goals.values(), key=lambda g: g.sort_key())

@@ -17,7 +17,7 @@ import pytest
 from motifsim import NoSafePlan, ground, load, plan_horizon, sim, solve_reach, solve_safety
 from motifsim.errors import EvalError
 from motifsim.scenarios import (
-    SHUTTLE, SOCCER, THERMOSTAT, THERMOSTAT_DELIBERATIVE, bundled,
+    BUNDLED, SHUTTLE, SOCCER, THERMOSTAT, THERMOSTAT_DELIBERATIVE,
 )
 
 from test_acceptance import SMALL_PLATOON
@@ -45,11 +45,11 @@ def _cyclic_garbage(fn):
             gc.enable()
 
 
-@pytest.mark.parametrize("scenario", bundled(), ids=lambda sc: sc.name)
-def test_a_run_and_its_replay_leave_no_cycles(scenario):
-    system = scenario.build()
+@pytest.mark.parametrize("name", BUNDLED)
+def test_a_run_and_its_replay_leave_no_cycles(name):
+    system = _system(BUNDLED[name])
     trace = sim.run(system)
-    assert _cyclic_garbage(lambda: sim.run(scenario.build())) == 0
+    assert _cyclic_garbage(lambda: sim.run(_system(BUNDLED[name]))) == 0
     assert _cyclic_garbage(lambda: sim.replay(system, trace.text())) == 0
 
 

@@ -1,7 +1,9 @@
+import ast
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -26,7 +28,7 @@ from motifsim.model import (
 )
 from motifsim.rules import CONFIG, MapEdit, Move, Param, Rule, apply
 from motifsim.scenarios import (
-    PLATOON, THERMOSTAT, THERMOSTAT_DELIBERATIVE, bundled,
+    BUNDLED, PLATOON, THERMOSTAT, THERMOSTAT_DELIBERATIVE,
 )
 
 
@@ -200,8 +202,7 @@ def test_state_hash_is_canonical():
 def test_clone_is_copy_on_write():
     cfg = _placed(1)
     c2 = cfg.clone()
-    comp = c2._touch_component("c1")
-    comp.state["full"] = True
+    c2.set_var("c1", "full", True)
     assert cfg.components["c1"].state["full"] is False
     assert c2.components["c1"].state["full"] is True
 
@@ -332,6 +333,112 @@ def test_a_motif_member_must_be_a_component():
         Configuration([], [Motif("m", line_map(1), members=["ghost"])])
 
 
+def _two_motifs():
+    """`_world` with `c1` at node 1 of the depot, and a shed holding `b1`
+    at node 0."""
+    cfg = _placed(1)
+    cfg.put_motif(Motif("shed", line_map(2), members={"b1"}))
+    cfg.place("b1", "shed", 0)
+    return cfg
+
+
+#: One call of each `Configuration` edit method.
+EDITS = {
+    "fresh_id": lambda cfg: cfg.fresh_id("crate"),
+    "set_var": lambda cfg: cfg.set_var("c1", "full", True),
+    "add_component": lambda cfg: cfg.add_component(ComponentInstance("c2", cfg.types["crate"])),
+    "remove_component": lambda cfg: cfg.remove_component("b1"),
+    "join": lambda cfg: cfg.join("c1", "shed"),
+    "leave": lambda cfg: cfg.leave("c1", "depot"),
+    "place": lambda cfg: cfg.place("c1", "depot", 3),
+    "set_map": lambda cfg: cfg.set_map("depot", cfg.motif("depot").map.add_node(9)),
+    "put_motif": lambda cfg: cfg.put_motif(Motif("shed", line_map(3), members={"c1"})),
+    "drop_motif": lambda cfg: cfg.drop_motif("shed"),
+}
+
+
+@pytest.mark.parametrize("edit", EDITS.values(), ids=EDITS)
+def test_an_edit_on_a_hashed_clone_rehashes_it(edit):
+    # the clone's hash is read first, so a stale cached one would show
+    base = _two_motifs()
+    before = _ref_hash(base)
+    cfg = base.clone()
+    assert cfg.state_hash() == before
+    edit(cfg)
+    assert _well_formed(cfg)
+    assert cfg.state_hash() == _ref_hash(cfg) != before
+    assert base.state_hash() == _ref_hash(base) == before  # nothing shared changed
+
+
+def test_a_component_is_added_once():
+    cfg = _world().clone()
+    with pytest.raises(ValueError, match="^component 'c1' already exists$"):
+        cfg.add_component(ComponentInstance("c1", cfg.types["crate"]))
+
+
+#: What only `model.py` may do to a configuration outside an edit method:
+#: call a private edit helper, set a motif's members, or set or delete an
+#: item of a configuration's dicts.
+RAW_CALL = re.compile(r"_touch_\w*|_place|_unplace|_dirty")
+RAW_DICTS = {"components", "motifs", "addresses", "counters"}
+
+
+def _raw_edits(source):
+    """The line numbers at which `source` edits a configuration raw."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
+            if RAW_CALL.fullmatch(name):
+                lines.append(node.lineno)
+            continue
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        while targets:
+            t = targets.pop()
+            if isinstance(t, (ast.Tuple, ast.List)):
+                targets.extend(t.elts)
+            elif (isinstance(t, ast.Attribute) and t.attr == "members"
+                  or isinstance(t, ast.Subscript) and isinstance(t.value, ast.Attribute)
+                  and t.value.attr in RAW_DICTS):
+                lines.append(t.lineno)
+    return sorted(lines)
+
+
+def test_the_raw_edit_finder_finds_each_kind():
+    assert _raw_edits("""\
+cfg._touch_motif(m).members |= {c}
+cfg._place(c, m, 0)
+_unplace(c, m)
+cfg._dirty()
+m.members = frozenset()
+a, m.members = 1, x
+cfg.components[c] = comp
+del cfg.addresses[k]
+cfg.counters[t] += 1
+cfg.motifs[m]: object = None
+cfg.place(c, m, 0)
+x = cfg.components[c]
+m.members | {c}
+""") == [1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
+
+
+def test_only_the_model_edits_a_configuration_raw():
+    package = pathlib.Path(motifsim.__file__).parent
+    found = {}
+    for path in sorted(package.rglob("*.py")):
+        if path != package / "model.py":
+            lines = _raw_edits(path.read_text())
+            if lines:
+                found[str(path.relative_to(package))] = lines
+    assert found == {}
+
+
 def _build(text):
     model, diags = parse(text)
     assert model is not None, diags
@@ -390,10 +497,9 @@ component b2: bot { y = 2; } in yard at 2 in shed at 0;
 """
 
 
-@pytest.mark.parametrize("text", [sc.text for sc in bundled()] + [
-    THERMOSTAT_DELIBERATIVE, PLATOON_DELIBERATIVE],
-    ids=[sc.name for sc in bundled()] + [
-        "thermostat_deliberative", "platoon_deliberative"])
+@pytest.mark.parametrize("text", [*BUNDLED.values(), THERMOSTAT_DELIBERATIVE,
+                                  PLATOON_DELIBERATIVE],
+                         ids=[*BUNDLED, "thermostat_deliberative", "platoon_deliberative"])
 def test_state_hash_matches_reference_on_scenarios(hashed, text):
     for seed in range(3):
         system = _build(text)
@@ -467,19 +573,19 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("sc", bundled(), ids=lambda sc: sc.name)
-def test_pinned_state_hashes(sc):
-    initial, after = PINNED[sc.name]
-    assert sc.build().cfg.state_hash() == initial
-    assert sim.run(sc.build(), steps=50, seed=0).final.state_hash() == after
+@pytest.mark.parametrize("name", BUNDLED)
+def test_pinned_state_hashes(name):
+    initial, after = PINNED[name]
+    assert _build(BUNDLED[name]).cfg.state_hash() == initial
+    assert sim.run(_build(BUNDLED[name]), steps=50, seed=0).final.state_hash() == after
 
 
 HASHES = """\
-from motifsim import sim
-from motifsim.scenarios import bundled
-for sc in bundled():
-    trace = sim.run(sc.build(), steps=50, seed=0)
-    print(sc.name, sc.build().cfg.state_hash(), *(e["post"] for e in trace.events))
+from motifsim import load, sim
+from motifsim.scenarios import BUNDLED
+for name, text in BUNDLED.items():
+    trace = sim.run(load(text)[0], steps=50, seed=0)
+    print(name, load(text)[0].cfg.state_hash(), *(e["post"] for e in trace.events))
 """
 
 
@@ -581,10 +687,10 @@ def _check_pins(traces, free_pins, pins):
     assert tuple(map(_trace_digest, traces)) == pins
 
 
-@pytest.mark.parametrize("sc", bundled(), ids=lambda sc: sc.name)
-def test_pinned_scenario_traces(sc, well_formed, eager_reference):
-    traces = [sim.run(sc.build(), seed=s) for s in range(3)]
-    _check_pins(traces, TRACE_FREE_PINS[sc.name], TRACE_PINS[sc.name])
+@pytest.mark.parametrize("name", BUNDLED)
+def test_pinned_scenario_traces(name, well_formed, eager_reference):
+    traces = [sim.run(_build(BUNDLED[name]), seed=s) for s in range(3)]
+    _check_pins(traces, TRACE_FREE_PINS[name], TRACE_PINS[name])
     assert well_formed["committed"] and eager_reference["candidates"]
 
 

@@ -229,6 +229,34 @@ def test_candidate_apply_and_event():
     assert cfg.address("c2", "lane") == 1
 
 
+# one component whose two vars an interaction rule and its dynamics swap
+SWAP = """\
+type pair object {
+  var a: int[0, 3];
+  var b: int[0, 3];
+  dynamics {
+    rule turn then { exchange(self.a, self.b); }
+  }
+}
+
+motif box {
+  map line(1);
+  interaction rule flip for p: pair then { exchange(p.a, p.b); }
+}
+
+component p1: pair { a = 1; b = 2; } in box at 0;
+"""
+
+
+@pytest.mark.parametrize("rule", ["flip", "turn"], ids=["interaction", "dynamics"])
+def test_an_exchange_within_one_component_swaps_its_vars(rule):
+    cfg = first = _system(SWAP).cfg
+    for state in ({"a": 2, "b": 1}, {"a": 1, "b": 2}):
+        cfg = next(c for c in step_candidates(cfg) if c.rule.name == rule).fire()
+        assert cfg.components["p1"].state == state
+    assert cfg.state_hash() == first.state_hash()
+
+
 # -- component dynamism ------------------------------------------------------
 
 

@@ -1,35 +1,31 @@
-import pytest
-
-from motifsim import sim
+from motifsim import load, sim
 from motifsim.scenarios import (
-    THERMOSTAT_DELIBERATIVE, Scenario, bundled, scenario_platoon, scenario_shuttle,
-    scenario_soccer, scenario_thermostat,
+    BUNDLED, PLATOON, SHUTTLE, SOCCER, THERMOSTAT, THERMOSTAT_DELIBERATIVE,
 )
 from motifsim.lang import parse, print_model
 
 
+def _build(text):
+    system, diags = load(text)
+    assert system is not None, diags
+    return system
+
+
 def test_bundled_models_parse_and_build():
-    for sc in bundled():
-        system = sc.build()
+    for text in BUNDLED.values():
+        system = _build(text)
         assert system.cfg.components
         assert system.scenario is not None
 
 
-def test_a_scenario_whose_text_does_not_build_raises():
-    with pytest.raises(ValueError, match="^bundled scenario 'junk' does not parse:"
-                       " error: 1:1: expected a declaration, got 'junk'$"):
-        Scenario("junk", "junk").build()
-
-
 def test_bundled_models_are_canonical():
-    for sc in bundled():
-        assert print_model(sc.parse()) == sc.text
+    for text in BUNDLED.values():
+        assert print_model(_build(text).model) == text
 
 
 def test_thermostat_band_short_sweep():
-    sc = scenario_thermostat()
     for seed in (0, 1, 2):
-        trace = sim.run(sc.build(), steps=500, seed=seed)
+        trace = sim.run(_build(THERMOSTAT), steps=500, seed=seed)
         assert all(c.ok for c in trace.checks), (seed, trace.summary())
 
 
@@ -45,9 +41,8 @@ def test_thermostat_deliberative_runs():
 
 
 def test_platoon_short_sweep():
-    sc = scenario_platoon()
     for seed in (0, 5):
-        trace = sim.run(sc.build(), steps=300, seed=seed)
+        trace = sim.run(_build(PLATOON), steps=300, seed=seed)
         by_name = {c.name: c for c in trace.checks}
         for name, c in by_name.items():
             if name != "formed":
@@ -55,24 +50,23 @@ def test_platoon_short_sweep():
 
 
 def test_platoon_forms_on_default_scenario():
-    trace = sim.run(scenario_platoon().build())
+    trace = sim.run(_build(PLATOON))
     assert all(c.ok for c in trace.checks), trace.summary()
 
 
 def test_soccer_short_sweep():
-    sc = scenario_soccer()
     for seed in (0, 3):
-        trace = sim.run(sc.build(), steps=200, seed=seed)
+        trace = sim.run(_build(SOCCER), steps=200, seed=seed)
         assert all(c.ok for c in trace.checks), (seed, trace.summary())
 
 
 def test_shuttle_never_skips_a_node():
-    system = scenario_shuttle().build()
+    system = _build(SHUTTLE)
     trace = sim.run(system)
     assert all(c.ok for c in trace.checks)
     assert trace.steps == 100
     # one ring step per event, never skipping a node
     assert all(e["rule"] == "go" for e in trace.events)
-    final = sim.replay(scenario_shuttle().build(), trace.text())
+    final = sim.replay(_build(SHUTTLE), trace.text())
     assert final.components["bus"].state["laps"] == 100
     assert final.address("bus", "route") == 100 % 6
